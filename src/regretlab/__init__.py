@@ -13,7 +13,6 @@ from .core import (  # noqa: E402
     BinaryTree,
     Distribution,
     GameSpec,
-    History,
     RadiusLadder,
     RngSpec,
     expected_loss,

@@ -58,9 +58,10 @@ def _cumulative_losses(outcomes, k: int) -> np.ndarray:
 class TwoLevelState:
     """Replayable state of the two-level strategy after t observed rounds.
 
-    Keeps the cumulative expert losses, the full outcome history, and the
-    realized loss of every rung's low-level instance at every round, so any
-    prefix quantity is reproducible from (prior, ladder, outcomes) alone.
+    Keeps the cumulative expert losses, the full outcome history, the
+    realized loss of every rung's low-level instance at every round, and the
+    running sums of those rung losses after every prefix, so any prefix
+    quantity is reproducible from (prior, ladder, outcomes) alone.
     """
 
     def __init__(self, prior: Distribution, ladder: RadiusLadder, horizon: int,
@@ -76,6 +77,8 @@ class TwoLevelState:
         self.cumulative_losses = np.zeros(prior.support_size)
         self.outcome_history: list[np.ndarray] = []
         self.rung_round_losses: list[np.ndarray] = []   # one (i_max,) vector per round
+        # rung_prefix_sums[t] is the sum of the first t rung-loss vectors
+        self.rung_prefix_sums: list[np.ndarray] = [np.zeros(ladder.i_max)]
 
     @property
     def t(self) -> int:
@@ -95,16 +98,16 @@ class TwoLevelState:
         return w / w.sum(axis=1, keepdims=True)
 
     def rung_cumulative_losses(self) -> np.ndarray:
-        if not self.rung_round_losses:
-            return np.zeros(self.ladder.i_max)
-        return np.sum(self.rung_round_losses, axis=0)
+        return self.rung_prefix_sums[-1].copy()
 
     def update(self, outcome) -> None:
         y = np.asarray(outcome, dtype=float)
         if y.shape != (self.prior.support_size,):
             raise ValueError("outcome must be a per-expert loss vector")
         rung_q = self.rung_distributions()
-        self.rung_round_losses.append(rung_q @ y)
+        rung_loss = rung_q @ y
+        self.rung_round_losses.append(rung_loss)
+        self.rung_prefix_sums.append(self.rung_prefix_sums[-1] + rung_loss)
         self.cumulative_losses = self.cumulative_losses + y
         self.outcome_history.append(y)
 
@@ -118,13 +121,9 @@ class TwoLevelState:
 
 def _rung_exponents(state: TwoLevelState, prefix_len: int) -> np.ndarray:
     """A_i = realized rung losses through the prefix plus sqrt(n R_i)."""
-    if prefix_len > state.t:
+    if not 0 <= prefix_len <= state.t:
         raise ValueError("state is not consistent through the requested round")
-    if prefix_len == 0:
-        cum = np.zeros(state.ladder.i_max)
-    else:
-        cum = np.sum(state.rung_round_losses[:prefix_len], axis=0)
-    return cum + np.sqrt(state.horizon * state.radii)
+    return state.rung_prefix_sums[prefix_len] + np.sqrt(state.horizon * state.radii)
 
 
 def _potential(lam: float, exponents: np.ndarray, remaining: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import FunctionTable, covering_number, dudley_integral
-from .core import Distribution, RadiusLadder, kl_divergence
+from .core import Distribution, RadiusLadder, kl_divergence, kl_divergence_rows, validate_weights
 
 PREDICTABLE_K1 = 4.0 * math.sqrt(2.0)
 PREDICTABLE_K2 = 24.0 * math.sqrt(2.0)
@@ -161,8 +161,14 @@ def fixed_vs_best_rate(f_values, fstar_values, class_size: int) -> float:
         raise ValueError("value sequences must have equal length")
     if class_size < 2:
         raise ValueError("class size must be >= 2")
-    s = math.log(class_size) * float(np.sum((f_values - fstar_values) ** 2)) + math.e
-    return 4.0 * math.log(s) * math.sqrt(32.0 * s) + 2.0
+    return float(_fixed_vs_best_penalty(float(np.sum((f_values - fstar_values) ** 2)), class_size))
+
+
+def _fixed_vs_best_penalty(sq_distance, class_size: int):
+    """4 log(s) sqrt(32 s) + 2 with s = log(class size) * sq_distance + e,
+    elementwise in the squared distance to the reference sequence."""
+    s = math.log(class_size) * sq_distance + math.e
+    return 4.0 * np.log(s) * np.sqrt(32.0 * s) + 2.0
 
 
 def pacbayes_rate(f: Distribution, prior: Distribution, outcomes) -> float:
@@ -177,22 +183,28 @@ def pacbayes_rate(f: Distribution, prior: Distribution, outcomes) -> float:
         raise ValueError("need horizon n >= 2")
     if ys.shape[1] != f.support_size or f.support_size != prior.support_size:
         raise ValueError("dimension mismatch")
-    kl = kl_divergence(f, prior)
-    if math.isinf(kl):
-        return math.inf
     second_moment = float(np.sum(ys ** 2 @ f.weights))
+    return float(_pacbayes_penalty(kl_divergence(f, prior), second_moment, n))
+
+
+def _pacbayes_penalty(kl, second_moment, n: int):
+    """sqrt(c m) + c + 10 with c = 50 (KL + log n), elementwise in the KL and
+    the second moment m; +inf where the KL is infinite."""
     c = 50.0 * (kl + math.log(n))
-    return math.sqrt(c * second_moment) + c + 10.0
+    # inf * 0 is NaN: an infinite KL must give +inf even when m is zero.
+    return np.sqrt(c * np.where(c == math.inf, 1.0, second_moment)) + c + 10.0
 
 
 def kl_radius_rate(f: Distribution, prior: Distribution, n: int) -> float:
     """Rate tied to the doubling-radius ladder of prior-relative KL balls."""
     if n < 1:
         raise ValueError("need horizon n >= 1")
-    kl = kl_divergence(f, prior)
-    if math.isinf(kl):
-        return math.inf
-    return 3.0 * math.sqrt(2.0 * n * max(kl, 1.0)) + 4.0 * math.sqrt(n)
+    return float(_kl_radius_penalty(kl_divergence(f, prior), n))
+
+
+def _kl_radius_penalty(kl, n: int):
+    """3 sqrt(2 n max(KL, 1)) + 4 sqrt(n), elementwise in the KL."""
+    return 3.0 * np.sqrt(2.0 * n * np.maximum(kl, 1.0)) + 4.0 * math.sqrt(n)
 
 
 def norm_adaptive_rate(norm_f: float, smoothness: float, n: int) -> float:
@@ -347,6 +359,46 @@ class AdaptiveRate:
                 )
             return predictable_rate(f_vals, p["centers"], p["profile"], n)
         raise AssertionError(kind)
+
+    def evaluate_many(self, comparators, outcomes) -> np.ndarray:
+        """``evaluate`` for every row of a comparator matrix, as one array.
+
+        ``kl_radius``, ``pac_bayes`` and ``fixed_vs_best`` are computed for all
+        rows at once from one statistic per row: the KL to the prior, the
+        second moment, the squared distance to the reference expert. Their
+        rows are weight vectors, checked as ``Distribution`` checks one for
+        the prior-relative kinds. Other kinds call ``evaluate`` per row.
+        """
+        kind = self.kind
+        p = self.params
+        if kind not in ("kl_radius", "pac_bayes", "fixed_vs_best"):
+            return np.array([self.evaluate(c, outcomes) for c in comparators], dtype=float)
+        w = np.asarray(comparators, dtype=float)
+        if w.ndim != 2:
+            raise ValueError(f"{kind} comparators must be a matrix of weight vectors")
+        if kind == "fixed_vs_best":
+            ys = np.atleast_2d(np.asarray(outcomes, dtype=float))
+            if w.shape[1] != ys.shape[1]:
+                raise ValueError("fixed_vs_best comparator must be a weight vector")
+            # sum_t <y_t, w - e*>^2 = (w - e*)^T (Y^T Y) (w - e*)
+            d = w.copy()
+            d[:, int(p["fstar_index"])] -= 1.0
+            return _fixed_vs_best_penalty(np.sum((d @ (ys.T @ ys)) * d, axis=1),
+                                          int(p["class_size"]))
+        validate_weights(w)
+        prior = p["prior"]
+        if kind == "kl_radius":
+            n = len(outcomes)
+            if n < 1:
+                raise ValueError("need horizon n >= 1")
+            return _kl_radius_penalty(kl_divergence_rows(w, prior), n)
+        ys = np.atleast_2d(np.asarray(outcomes, dtype=float))
+        n = ys.shape[0]
+        if n < 2:
+            raise ValueError("need horizon n >= 2")
+        if ys.shape[1] != w.shape[1] or w.shape[1] != prior.support_size:
+            raise ValueError("dimension mismatch")
+        return _pacbayes_penalty(kl_divergence_rows(w, prior), w @ np.sum(ys ** 2, axis=0), n)
 
 
 def _as_distribution(comparator) -> Distribution:

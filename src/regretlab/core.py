@@ -9,7 +9,7 @@ the higher modules can share instances freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,20 @@ def _as_float_vector(x, name="vector"):
     return arr
 
 
+def validate_weights(w: np.ndarray) -> None:
+    """Raise unless every row of ``w`` (its last axis) is a probability vector:
+    no NaN, no negative entry, and a sum within SUM_TOL of 1."""
+    if np.isnan(w).any():
+        raise ValueError("weights contain NaN")
+    if (w < 0.0).any():
+        raise ValueError("negative weight")
+    total = w.sum(axis=-1)
+    off = np.abs(total - 1.0) > SUM_TOL
+    if off.any():
+        first = total[off][0] if total.ndim else total
+        raise ValueError(f"weights sum to {float(first)!r}, not 1")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite set (experts, decisions, rungs)."""
@@ -35,13 +49,7 @@ class Distribution:
 
     def __post_init__(self):
         w = _as_float_vector(self.weights, "weights")
-        if np.any(np.isnan(w)):
-            raise ValueError("weights contain NaN")
-        if np.any(w < 0.0):
-            raise ValueError("negative weight")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        validate_weights(w)
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -95,6 +103,29 @@ def kl_divergence(f: Distribution, pi: Distribution) -> float:
         if val < -1e-9:
             raise AssertionError(f"KL summation produced {val}")
         val = 0.0
+    return val
+
+
+def kl_divergence_rows(weights: np.ndarray, pi: Distribution) -> np.ndarray:
+    """``kl_divergence`` of every row of a (m, K) weight matrix against pi.
+
+    The rows must already be valid weight vectors (see ``validate_weights``).
+    Same conventions: +inf for mass outside pi's support, negative rounding
+    residue clamped to zero and an error below -1e-9. Zero entries enter the
+    row sums as zero terms, so a row may differ from ``kl_divergence`` in the
+    last bits.
+    """
+    pw = pi.weights
+    if weights.shape[1] != pw.size:
+        raise ValueError("support sizes differ")
+    mass = weights > 0.0
+    inside = pw > 0.0
+    ratio = np.divide(weights, pw, out=np.ones_like(weights), where=mass & inside)
+    val = np.sum(weights * np.log(ratio), axis=1)
+    val[np.any(mass & ~inside, axis=1)] = math.inf
+    if np.any(val < -1e-9):
+        raise AssertionError(f"KL summation produced {float(np.min(val))}")
+    val[val < 0.0] = 0.0
     return val
 
 
@@ -185,22 +216,6 @@ def expected_loss(q: Distribution, y: int, game: GameSpec) -> float:
     if not 0 <= y < game.n_outcomes:
         raise IndexError(f"outcome index {y} out of range")
     return float(np.dot(q.weights, game.loss[:, y]))
-
-
-@dataclass
-class History:
-    """Round-by-round record of one play-out."""
-
-    outcomes: list = field(default_factory=list)
-    inputs: list = field(default_factory=list)
-    predictions: list = field(default_factory=list)
-    realized_losses: list = field(default_factory=list)
-
-    def check(self):
-        t = len(self.outcomes)
-        if any(len(x) not in (0, t) for x in (self.inputs, self.predictions, self.realized_losses)):
-            raise ValueError("history lists out of sync")
-        return t
 
 
 @dataclass(frozen=True)

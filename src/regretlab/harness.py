@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .algorithms import (
     kl_ball_minimizer,
 )
 from .bounds import AdaptiveRate
-from .core import Distribution, GameSpec, History, RadiusLadder, RngSpec
+from .core import Distribution, GameSpec, RadiusLadder, RngSpec
 
 ENVIRONMENTS = (
     "stochastic_bernoulli",
@@ -88,7 +89,7 @@ def generate_environment(name: str, params: dict, rng: RngSpec) -> np.ndarray:
                     losses[t, :half] = 1.0
                 else:
                     losses[t, half:] = 1.0
-    if np.any(losses < 0.0) or np.any(losses > 1.0):
+    if np.any(~((losses >= 0.0) & (losses <= 1.0))):     # NaN fails both tests
         raise ValueError("environment produced losses outside [0, 1]")
     return losses
 
@@ -127,7 +128,6 @@ class ExperimentConfig:
     simplex_resolution: int = DEFAULT_SIMPLEX_RESOLUTION
     grid_budget: int = DEFAULT_GRID_BUDGET
     slack_tol_per_round: float = SLACK_TOL_PER_ROUND
-    sampled_demo: bool = False
     json_path: str | None = None
     csv_path: str | None = None
 
@@ -160,8 +160,7 @@ class ExperimentConfig:
         strat = dict(doc.get("strategy", {"name": "two-level-ew"}))
         strat_name = strat.pop("name")
         audit = dict(doc.get("audit", {}))
-        unknown_audit = set(audit) - {"simplex_resolution", "grid_budget",
-                                      "slack_tol_per_round", "sampled_demo"}
+        unknown_audit = set(audit) - {"simplex_resolution", "grid_budget", "slack_tol_per_round"}
         if unknown_audit:
             raise ValueError(f"unknown audit fields: {sorted(unknown_audit)}")
         output = dict(doc.get("output", {}))
@@ -182,7 +181,6 @@ class ExperimentConfig:
             simplex_resolution=int(audit.get("simplex_resolution", DEFAULT_SIMPLEX_RESOLUTION)),
             grid_budget=int(audit.get("grid_budget", DEFAULT_GRID_BUDGET)),
             slack_tol_per_round=float(audit.get("slack_tol_per_round", SLACK_TOL_PER_ROUND)),
-            sampled_demo=bool(audit.get("sampled_demo", False)),
             json_path=output.get("json"),
             csv_path=output.get("csv"),
         )
@@ -317,25 +315,26 @@ def _audit_one(config, relaxation, rates, losses, rep):
     n, k = losses.shape
     state = TwoLevelState(relaxation.prior, relaxation.ladder, relaxation.horizon,
                           relaxation.lambda_mode)
-    history = History()
+    per_round = []
     for t in range(n):
         q = twolevel_predict(state, t + 1)
-        history.outcomes.append(losses[t])
-        history.inputs.append(0)        # linear game: singleton input
-        history.predictions.append(q)
-        history.realized_losses.append(float(np.dot(q.weights, losses[t])))
+        per_round.append(float(np.dot(q.weights, losses[t])))
         state.update(losses[t])
-    history.check()
-    per_round = history.realized_losses
     algo_total = float(sum(per_round))
     cumulative = losses.sum(axis=0)
     certificate = relaxation.value(losses[:0])
 
     grid = audit_grid(relaxation.prior, config.simplex_resolution, config.grid_budget,
                       relaxation.ladder, cumulative)
+    ids = [comp_id for comp_id, _ in grid]
+    weights = np.array([w for _, w in grid])
+    regret = algo_total - weights @ cumulative
     records = []
     for rate_name, rate in rates.items():
-        rec = AuditRecord(
+        rate_values = rate.evaluate_many(weights, losses)
+        slack = rate_values + certificate - regret
+        worst = int(np.argmin(slack))
+        records.append(AuditRecord(
             environment=config.environment,
             rate_name=rate_name,
             replicate=rep,
@@ -344,18 +343,14 @@ def _audit_one(config, relaxation, rates, losses, rep):
             experts=k,
             per_round_losses=per_round,
             certificate=certificate,
-        )
-        for comp_id, w in grid:
-            regret = algo_total - float(np.dot(w, cumulative))
-            rate_value = rate.evaluate(w, losses)
-            slack = rate_value + certificate - regret
-            rec.comparators.append(
-                {"id": comp_id, "regret": regret, "rate": rate_value, "slack": slack}
-            )
-            if slack < rec.min_slack:
-                rec.min_slack = slack
-                rec.argmin_comparator = comp_id
-        records.append(rec)
+            comparators=[
+                {"id": comp_id, "regret": regret_i, "rate": rate_i, "slack": slack_i}
+                for comp_id, regret_i, rate_i, slack_i
+                in zip(ids, regret.tolist(), rate_values.tolist(), slack.tolist())
+            ],
+            min_slack=float(slack[worst]),
+            argmin_comparator=ids[worst],
+        ))
     return records
 
 
@@ -378,9 +373,8 @@ def emit_results(records, fmt: str, path: str, rng: RngSpec | None = None) -> No
             "rng": rng.to_dict() if rng is not None else None,
             "records": [r.to_dict() for r in records],
         }
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         with open(path, "w") as fh:
-            fh.write(payload)
+            fh.write(_json_text(doc, 0) + "\n")
     elif fmt == "csv":
         lines = ["record,section,round,loss,comparator_id,regret,rate,slack"]
         for i, rec in enumerate(records):
@@ -394,6 +388,56 @@ def emit_results(records, fmt: str, path: str, rng: RngSpec | None = None) -> No
             fh.write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_float(x: float) -> str:
+    if x - x == 0.0:                            # finite
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+# json.dumps's text for each scalar type, looked up by exact type
+_SCALAR_WRITERS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, depth: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested
+    ``depth`` levels deep, byte for byte (ASCII, NaN and infinities allowed).
+
+    The standard library falls back to its pure-Python encoder whenever an
+    indent is set; this writer dispatches on the exact type first and joins
+    each container's items once, which is faster on audit records.
+    """
+    writer = _SCALAR_WRITERS.get(type(value))
+    if writer is not None:
+        return writer(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts = [_json_text(v, depth + 1) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        texts = [encode_basestring_ascii(k if isinstance(k, str) else _json_text(k, 0))
+                 + ": " + _json_text(v, depth + 1) for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        # subclasses of str, int and float are written as their base type
+        for base, writer in _SCALAR_WRITERS.items():
+            if isinstance(value, base):
+                return writer(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + "  " * depth + brackets[1]
 
 
 def read_results(path: str) -> list:

@@ -132,6 +132,27 @@ class TestTwoLevelPredict:
         np.testing.assert_array_equal(seqs[0], seqs[1])
 
 
+class TestRungPrefixSums:
+    @pytest.mark.parametrize("mode", [LAMBDA_FIXED, LAMBDA_OPTIMIZED])
+    def test_past_rounds_match_replayed_prefix(self, mode):
+        gen = RngSpec(seed=14).generator()
+        ys = gen.random((12, 3))
+        state = TwoLevelState(Distribution.uniform(3), RadiusLadder(4), 12, mode)
+        played = []
+        for y in ys:
+            q = twolevel_predict(state, state.t + 1)
+            played.append(float(np.dot(q.weights, y)))
+            state.update(y)
+        for t in range(1, state.t):
+            replayed = TwoLevelState.replay(state.prior, state.ladder, state.horizon,
+                                            ys[: t - 1], mode)
+            np.testing.assert_array_equal(highlevel_weights(state, t).weights,
+                                          highlevel_weights(replayed, t).weights)
+            assert float(np.dot(twolevel_predict(state, t).weights, ys[t - 1])) == played[t - 1]
+        np.testing.assert_array_equal(state.rung_cumulative_losses(),
+                                      np.sum(state.rung_round_losses, axis=0))
+
+
 class TestRelaxationValue:
     def test_empty_prefix_fixed_mode_bound(self):
         state = TwoLevelState(Distribution.uniform(2), RadiusLadder(3), 16, LAMBDA_FIXED)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab.bounds import (
     AdaptiveRate,
@@ -346,3 +348,75 @@ class TestAdaptiveRateDispatch:
         ys = gen.random((6, 3))
         f = np.array([0.1, 0.4, 0.5])
         assert rate.evaluate(f, ys) == rate.evaluate(f, ys)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation against the scalar path.
+# ---------------------------------------------------------------------------
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+def _normalised(values):
+    w = np.asarray(values, dtype=float)
+    return w / w.sum()
+
+
+@st.composite
+def _batch_case(draw):
+    """Losses, a prior that may have zero entries, and comparator rows: the
+    point masses, the prior, and random weight vectors with zeros."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
+    positive = st.lists(_entries, min_size=k, max_size=k).filter(lambda v: sum(v) > 0)
+    prior = Distribution(_normalised(draw(positive)))
+    rows = [np.eye(k), prior.weights[None, :]]
+    rows += [_normalised(v)[None, :] for v in draw(st.lists(positive, max_size=6))]
+    losses = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    if draw(st.booleans()):
+        losses = np.zeros((n, k))       # zero second moment: an infinite KL must stay inf
+    return prior, np.vstack(rows), np.asarray(losses, dtype=float), draw(st.integers(0, k - 1))
+
+
+def _rates(prior, fstar):
+    return [
+        AdaptiveRate("kl_radius", prior=prior),
+        AdaptiveRate("pac_bayes", prior=prior),
+        AdaptiveRate("fixed_vs_best", fstar_index=fstar, class_size=prior.support_size),
+        AdaptiveRate("uniform_constant", value=0.5),
+    ]
+
+
+class TestEvaluateMany:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_batch_case())
+    def test_matches_scalar_evaluate(self, case):
+        prior, rows, losses, fstar = case
+        for rate in _rates(prior, fstar):
+            batch = rate.evaluate_many(rows, losses)
+            scalar = np.array([rate.evaluate(w, losses) for w in rows])
+            assert batch.shape == (rows.shape[0],)
+            np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0, err_msg=rate.kind)
+
+    def test_outside_prior_support_is_infinite(self):
+        prior = Distribution(np.array([1.0, 0.0, 0.0]))
+        rows = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        got = AdaptiveRate("pac_bayes", prior=prior).evaluate_many(rows, np.zeros((4, 3)))
+        assert got[0] == math.inf and math.isfinite(got[1])
+
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 0.5, 0.5],
+        [-0.25, 0.75, 0.5],
+        [0.5, 0.5, 1e-9],
+    ])
+    @pytest.mark.parametrize("kind", ["kl_radius", "pac_bayes"])
+    def test_rejects_what_distribution_rejects(self, kind, bad):
+        rate = AdaptiveRate(kind, prior=Distribution.uniform(3))
+        losses = np.full((4, 3), 0.5)
+        with pytest.raises(ValueError):
+            Distribution(np.array(bad))
+        with pytest.raises(ValueError):
+            rate.evaluate(np.array(bad), losses)
+        with pytest.raises(ValueError):
+            rate.evaluate_many(np.array([[1.0, 0.0, 0.0], bad]), losses)

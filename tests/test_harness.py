@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from regretlab import __version__
 from regretlab.cli import main as lab_main
 from regretlab.core import RngSpec
 from regretlab.harness import (
+    RECORDS_SCHEMA,
+    AuditRecord,
     ExperimentConfig,
     emit_results,
     generate_environment,
@@ -77,6 +80,14 @@ class TestGenerateEnvironment:
         path.write_text(json.dumps({"losses": [[0.0, 1.0], [1.0, 0.0]]}))
         losses = generate_environment("file", {"path": str(path)}, RngSpec(seed=0))
         np.testing.assert_array_equal(losses, [[0, 1], [1, 0]])
+
+    def test_file_source_rejects_nan(self, tmp_path):
+        rows = [[0.0, 1.0]] * 8
+        rows[3] = [math.nan, 0.5]
+        path = tmp_path / "losses.json"
+        path.write_text(json.dumps({"losses": rows}))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            generate_environment("file", {"path": str(path)}, RngSpec(seed=0))
 
 
 class TestSimplexGrid:
@@ -216,6 +227,29 @@ class TestEmitResults:
         emit_results(records, "json", str(path), RngSpec(seed=5))
         back = read_results(str(path))
         assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+
+    def test_json_bytes_match_json_dumps(self, tmp_path):
+        records = run_experiment(_config(replicates=1, horizon=8,
+                                         rates=("kl-radius", "uniform-constant")))
+        rows = records[0].comparators
+        rows[0].update(rate=math.inf, slack=math.inf)
+        rows[1].update(rate=math.nan, slack=math.nan)
+        rows[2].update(id='grid "\u00e9"\n\\', regret=-0.0, slack=-math.inf)
+        records[0].min_slack = -math.inf
+        records[1].min_slack = math.nan
+        empty = AuditRecord(environment="file", rate_name="kl-radius", replicate=0, seed=0,
+                            horizon=0, experts=2, per_round_losses=[], certificate=1e300)
+        path = tmp_path / "records.json"
+        for recs, rng in ((records + [empty], RngSpec(seed=5)), (records, None), ([], None)):
+            emit_results(recs, "json", str(path), rng)
+            doc = {
+                "schema": RECORDS_SCHEMA,
+                "version": __version__,
+                "rng": rng.to_dict() if rng is not None else None,
+                "records": [r.to_dict() for r in recs],
+            }
+            expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _config(replicates=2, horizon=32)
