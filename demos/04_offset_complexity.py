@@ -16,8 +16,6 @@ from regretlab import (
     covering_number,
     dudley_integral,
     offset_expectation,
-    seq_rademacher_exact,
-    seq_rademacher_mc,
 )
 
 gen = RngSpec(seed=3).generator()
@@ -25,8 +23,9 @@ depth, g = 10, 6
 table = FunctionTable(gen.uniform(-1.0, 1.0, (g, 2 ** depth - 1)))
 print(f"class of {g} functions on a depth-{depth} tree ({2 ** depth} sign paths)\n")
 
-exact = seq_rademacher_exact(table)
-est, se = seq_rademacher_mc(table, 20000, RngSpec(seed=4))
+exact = offset_expectation(table, OffsetForm("none"))
+est, se = offset_expectation(table, OffsetForm("none"), mode="mc", rng=RngSpec(seed=4),
+                             replicates=20000)
 print(f"signed-path supremum: exact {exact:.4f}, monte carlo {est:.4f} +- {se:.4f}")
 
 print("\ninternal covering numbers (candidates drawn from the class itself):")

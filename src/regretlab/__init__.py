@@ -48,8 +48,6 @@ from .complexity import (  # noqa: E402
     covering_number_report,
     dudley_integral,
     offset_expectation,
-    seq_rademacher_exact,
-    seq_rademacher_mc,
 )
 from .probtools import (  # noqa: E402
     ChainingInstance,

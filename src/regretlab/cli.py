@@ -15,10 +15,10 @@ import numpy as np
 
 from . import __version__
 from .algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation
-from .bounds import AdaptiveRate
-from .complexity import FunctionTable, OffsetForm, offset_expectation, seq_rademacher_exact, seq_rademacher_mc
+from .complexity import FunctionTable, OffsetForm, offset_expectation
 from .core import BinaryTree, Distribution, RadiusLadder, RngSpec
 from .harness import (
+    RATE_BUILDERS,
     ExperimentConfig,
     emit_results,
     load_game,
@@ -97,22 +97,11 @@ def _cmd_audit(args) -> int:
     return 0 if passed else 1
 
 
-def _build_rate(name: str, experts: int, value: float) -> AdaptiveRate:
-    prior = Distribution.uniform(experts)
-    if name == "kl-radius":
-        return AdaptiveRate("kl_radius", prior=prior)
-    if name == "pac-bayes":
-        return AdaptiveRate("pac_bayes", prior=prior)
-    if name == "fixed-vs-best":
-        return AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=max(experts, 2))
-    if name == "uniform-constant":
-        return AdaptiveRate("uniform_constant", value=value)
-    raise ValueError(f"unknown oracle rate {name!r}")
-
-
 def _cmd_oracle(args) -> int:
     game = load_game(args.game)
-    rate = _build_rate(args.rate, game.n_decisions, args.rate_value)
+    if args.rate not in RATE_BUILDERS:
+        raise ValueError(f"unknown oracle rate {args.rate!r}")
+    rate = RATE_BUILDERS[args.rate](game.n_decisions, args.rate_value)
     report = achievability_check(game, rate, tol=args.tol)
     _write_report(args.report, {
         "command": "oracle", "version": __version__,
@@ -162,20 +151,13 @@ def _load_table(args) -> FunctionTable:
 def _cmd_complexity(args) -> int:
     table = _load_table(args)
     rng = RngSpec(seed=args.seed if args.seed is not None else 0)
-    if args.offset_form == "none" and args.mode == "exact":
-        value = seq_rademacher_exact(table)
-        doc = {"estimate": value, "stderr": 0.0}
-    elif args.offset_form == "none":
-        est, se = seq_rademacher_mc(table, args.replicates, rng)
-        doc = {"estimate": est, "stderr": se}
+    form = _make_offset_form(args)
+    if args.mode == "exact":
+        doc = {"estimate": offset_expectation(table, form), "stderr": 0.0}
     else:
-        form = _make_offset_form(args)
-        if args.mode == "exact":
-            doc = {"estimate": offset_expectation(table, form), "stderr": 0.0}
-        else:
-            est, se = offset_expectation(table, form, mode="mc", rng=rng,
-                                         replicates=args.replicates)
-            doc = {"estimate": est, "stderr": se}
+        est, se = offset_expectation(table, form, mode="mc", rng=rng,
+                                     replicates=args.replicates)
+        doc = {"estimate": est, "stderr": se}
     doc.update({
         "command": "complexity", "version": __version__,
         "mode": args.mode, "offset_form": args.offset_form,
@@ -186,6 +168,8 @@ def _cmd_complexity(args) -> int:
 
 
 def _make_offset_form(args) -> OffsetForm:
+    if args.offset_form == "none":
+        return OffsetForm("none")
     if args.offset_form == "quadratic":
         return OffsetForm("quadratic", alpha=args.alpha)
     if args.offset_form == "finite-class":

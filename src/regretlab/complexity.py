@@ -62,46 +62,32 @@ def _paths(depth: int):
     return signs, idx
 
 
-def _path_values(table: FunctionTable, signs, idx):
-    """(G, P, n) values of each function along each path."""
-    return table.values[:, idx]
+def _sign_paths(n: int, mode: str, rng: RngSpec | None, replicates: int | None):
+    """(signs, idx) of the sign paths a depth-n functional averages over.
+
+    Exact mode returns every path (depth <= EXACT_DEPTH_CAP); mc mode draws
+    ``replicates`` uniform paths from a fresh generator of ``rng``.
+    """
+    if mode == "exact":
+        if n > EXACT_DEPTH_CAP:
+            raise ValueError(f"depth {n} exceeds exact cap {EXACT_DEPTH_CAP}; use mode='mc'")
+        return _paths(n)
+    if mode == "mc":
+        if rng is None or replicates is None:
+            raise ValueError("mc mode needs rng and replicates")
+        if replicates < 100:
+            raise ValueError("need at least 100 replicates")
+        gen = rng.generator()
+        signs = gen.integers(0, 2, size=(replicates, n)).astype(float) * 2.0 - 1.0
+        return signs, path_node_indices(n, signs)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _signed_and_square_sums(table: FunctionTable, signs, idx):
-    vals = _path_values(table, signs, idx)
+    vals = table.values[:, idx]                     # (G, P, n)
     signed = np.einsum("gpt,pt->gp", vals, signs)
     squares = np.einsum("gpt,gpt->gp", vals, vals)
     return signed, squares
-
-
-def seq_rademacher_exact(table: FunctionTable, depth_cap: int = EXACT_DEPTH_CAP) -> float:
-    """Average over all sign paths of the per-path supremum of signed sums."""
-    n = table.depth
-    if n > depth_cap:
-        raise ValueError(
-            f"depth {n} exceeds exact enumeration cap {depth_cap}; use seq_rademacher_mc"
-        )
-    signs, idx = _paths(n)
-    signed, _ = _signed_and_square_sums(table, signs, idx)
-    return float(signed.max(axis=0).mean())
-
-
-def seq_rademacher_mc(table: FunctionTable, replicates: int, rng: RngSpec):
-    """Unbiased Monte Carlo estimate of the signed-path supremum average.
-
-    Returns (estimate, stderr). Deterministic for a fixed RngSpec.
-    """
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
-    gen = rng.generator()
-    n = table.depth
-    signs = gen.integers(0, 2, size=(replicates, n)).astype(float) * 2.0 - 1.0
-    idx = path_node_indices(n, signs)
-    signed, _ = _signed_and_square_sums(table, signs, idx)
-    sups = signed.max(axis=0)
-    est = float(sups.mean())
-    stderr = float(sups.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-    return est, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +107,8 @@ def _pairwise_path_stats(table: FunctionTable):
     cached = getattr(table, "_pair_stats", None)
     if cached is not None:
         return cached
-    signs, idx = _paths(table.depth)
-    vals = _path_values(table, signs, idx)          # (G, P, n)
+    _, idx = _paths(table.depth)
+    vals = table.values[:, idx]                     # (G, P, n)
     g = table.n_functions
     d2 = np.empty((g, g, vals.shape[1]))
     dinf = np.empty_like(d2)
@@ -376,33 +362,19 @@ def offset_expectation(
     mode: str = "exact",
     rng: RngSpec | None = None,
     replicates: int | None = None,
-    depth_cap: int = EXACT_DEPTH_CAP,
 ):
     """Expected per-path supremum of the offset objective.
 
-    Exact mode enumerates every sign path (depth <= 12) and returns a float;
-    mc mode samples paths and returns (estimate, stderr).
+    With ``OffsetForm("none")`` this is the sequential Rademacher complexity
+    of the class on its tree. Exact mode enumerates every sign path
+    (depth <= 12) and returns a float; mc mode samples paths and returns
+    (estimate, stderr).
     """
     n = table.depth
+    signs, idx = _sign_paths(n, mode, rng, replicates)
+    signed, squares = _signed_and_square_sums(table, signs, idx)
+    sups = _offset_objective(table, form, signed, squares, n).max(axis=0)
+    estimate = float(sups.mean())
     if mode == "exact":
-        if n > depth_cap:
-            raise ValueError(f"depth {n} exceeds exact cap {depth_cap}; use mode='mc'")
-        signs, idx = _paths(n)
-        signed, squares = _signed_and_square_sums(table, signs, idx)
-        obj = _offset_objective(table, form, signed, squares, n)
-        return float(obj.max(axis=0).mean())
-    if mode == "mc":
-        if rng is None or replicates is None:
-            raise ValueError("mc mode needs rng and replicates")
-        if replicates < 100:
-            raise ValueError("need at least 100 replicates")
-        gen = rng.generator()
-        signs = gen.integers(0, 2, size=(replicates, n)).astype(float) * 2.0 - 1.0
-        idx = path_node_indices(n, signs)
-        signed, squares = _signed_and_square_sums(table, signs, idx)
-        obj = _offset_objective(table, form, signed, squares, n)
-        sups = obj.max(axis=0)
-        est = float(sups.mean())
-        stderr = float(sups.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
-        return est, stderr
-    raise ValueError(f"unknown mode {mode!r}")
+        return estimate
+    return estimate, float(sups.std(ddof=1) / math.sqrt(replicates))

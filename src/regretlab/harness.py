@@ -210,29 +210,30 @@ def _build_two_level(config: ExperimentConfig):
 STRATEGIES = {"two-level-ew": _build_two_level}
 
 
-def _kl_radius_rate(config):
-    return AdaptiveRate("kl_radius", prior=Distribution.uniform(config.experts))
+def _kl_radius_rate(experts, value=0.0):
+    return AdaptiveRate("kl_radius", prior=Distribution.uniform(experts))
 
 
-def _pac_bayes_rate(config):
-    return AdaptiveRate("pac_bayes", prior=Distribution.uniform(config.experts))
+def _pac_bayes_rate(experts, value=0.0):
+    return AdaptiveRate("pac_bayes", prior=Distribution.uniform(experts))
 
 
-def _fixed_vs_best_rate(config):
-    return AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=max(config.experts, 2))
+def _fixed_vs_best_rate(experts, value=0.0):
+    return AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=max(experts, 2))
 
 
-def _uniform_rate(config):
-    return AdaptiveRate("uniform_constant", value=0.0)
+def _uniform_rate(experts, value=0.0):
+    return AdaptiveRate("uniform_constant", value=value)
 
 
-def _predictable_rate(config):
+def _predictable_rate(experts, value=0.0):
     raise ValueError(
         "rate 'predictable' needs per-round input sequences; the experts "
         "environments have none (strategy/rate incompatibility)"
     )
 
 
+# name -> builder(experts, value); value is the uniform-constant rate's constant.
 RATE_BUILDERS = {
     "kl-radius": _kl_radius_rate,
     "pac-bayes": _pac_bayes_rate,
@@ -297,7 +298,7 @@ def audit_grid(prior: Distribution, resolution: int, budget: int,
 def run_experiment(config: ExperimentConfig) -> list:
     """Play every replicate and audit every requested rate on the grid."""
     relaxation = STRATEGIES[config.strategy](config)
-    rates = {name: RATE_BUILDERS[name](config) for name in config.rates}
+    rates = {name: RATE_BUILDERS[name](config.experts) for name in config.rates}
     records = []
     for rep in range(config.replicates):
         losses = generate_environment(

@@ -17,16 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import (
+    COVER_DEPTH_CAP,
+    EXACT_COVER_CLASS_CAP,
     EXACT_DEPTH_CAP,
     FunctionTable,
+    OffsetForm,
     covering_number,
     dudley_integral,
-    seq_rademacher_exact,
+    offset_expectation,
     _log_cover_fn,
-    _paths,
+    _sign_paths,
     _signed_and_square_sums,
 )
-from .core import BinaryTree, RngSpec, path_node_indices
+from .core import BinaryTree, RngSpec
 
 
 @dataclass(frozen=True)
@@ -219,13 +222,12 @@ def _deviation_samples_pinelis(inst: PinelisInstance, signs, idx):
 def _inverse_cover_term(table: FunctionTable, scale: float, metric: str, power: int) -> float:
     """One 1/N**power term of an inverse-cover series.
 
-    Only exact minimum covers may shrink a term; above the exact-search cap
-    the term is charged as 1 (N >= 1), since underestimating the series
-    would invalidate the envelope.
+    Only exact minimum covers may shrink a term; above the exact-search
+    class cap, and above the depth where covers need too many paths, the
+    term is charged as 1 (N >= 1), since underestimating the series would
+    invalidate the envelope.
     """
-    from .complexity import EXACT_COVER_CLASS_CAP
-
-    if table.n_functions > EXACT_COVER_CLASS_CAP:
+    if table.n_functions > EXACT_COVER_CLASS_CAP or table.depth > COVER_DEPTH_CAP:
         return 1.0
     return 1.0 / covering_number(table, scale, metric) ** power
 
@@ -256,20 +258,8 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
     else:
         n = instance.table.depth
 
-    if mode == "exact":
-        if n > EXACT_DEPTH_CAP:
-            raise ValueError(f"depth {n} exceeds exact cap; use mode='mc'")
-        signs, idx = _paths(n)
-        weight = None
-    elif mode == "mc":
-        if rng is None or replicates is None or replicates < 100:
-            raise ValueError("mc mode needs rng and at least 100 replicates")
-        gen = rng.generator()
-        signs = gen.integers(0, 2, size=(replicates, n)).astype(float) * 2.0 - 1.0
-        idx = path_node_indices(n, signs)
-        weight = replicates
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    signs, idx = _sign_paths(n, mode, rng, replicates)
+    weight = replicates if mode == "mc" else None
 
     points = []
     if kind == "pinelis":
@@ -287,7 +277,11 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
         table = instance.table
         signed, _ = _signed_and_square_sums(table, signs, idx)
         sup_abs = np.abs(signed).max(axis=0)
-        rad = seq_rademacher_exact(table) if n <= EXACT_DEPTH_CAP else seq_rademacher_mc_mean(table, rng)
+        if n <= EXACT_DEPTH_CAP:
+            rad = offset_expectation(table, OffsetForm("none"))
+        else:   # no exact anchor above the cap: 20 000 sampled paths stand in
+            rad, _ = offset_expectation(table, OffsetForm("none"), mode="mc", rng=rng,
+                                        replicates=20000)
         gamma_const = _chaining_gamma_constant(table, n)
         log_cubed = math.log(math.e * n * n) ** 3
         theta_floor = math.sqrt(12.0 / n)
@@ -323,13 +317,6 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
             bound = gauss + math.exp(-alpha * tau / 2.0)
             points.append(_judge(tau, emp, bound, weight))
     return TailReport(kind, tuple(points))
-
-
-def seq_rademacher_mc_mean(table: FunctionTable, rng: RngSpec, replicates: int = 20000) -> float:
-    from .complexity import seq_rademacher_mc
-
-    est, _ = seq_rademacher_mc(table, replicates, rng)
-    return est
 
 
 def _judge(threshold, empirical, bound, weight) -> TailPoint:

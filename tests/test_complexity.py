@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from regretlab.complexity import (
     covering_number_report,
     dudley_integral,
     offset_expectation,
-    seq_rademacher_exact,
-    seq_rademacher_mc,
 )
-from regretlab.core import RngSpec, path_node_indices, path_signs
+from regretlab.core import BinaryTree, RngSpec, path_node_indices, path_signs, tree_get
 
 
 def _random_table(seed, g, depth, bound=1.0):
@@ -32,29 +30,40 @@ class TestFunctionTable:
             FunctionTable(np.full((1, 3), 1.5))
 
 
+NONE = OffsetForm("none")
+
+
+def _rademacher(table):
+    return offset_expectation(table, NONE)
+
+
+def _rademacher_mc(table, replicates, rng):
+    return offset_expectation(table, NONE, mode="mc", rng=rng, replicates=replicates)
+
+
 class TestSeqRademacherExact:
     def test_zero_class(self):
-        assert seq_rademacher_exact(FunctionTable(np.zeros((1, 2 ** 4 - 1)))) == 0.0
+        assert _rademacher(FunctionTable(np.zeros((1, 2 ** 4 - 1)))) == 0.0
 
     def test_singleton_cancels(self):
         # each term is a martingale difference, so the average over paths
         # collapses to rounding noise
         table = _random_table(5, 1, 6)
-        assert abs(seq_rademacher_exact(table)) <= 1e-10
+        assert abs(_rademacher(table)) <= 1e-10
 
     def test_two_constants_depth_one(self):
-        assert seq_rademacher_exact(FunctionTable(np.array([[1.0], [-1.0]]))) == 1.0
+        assert _rademacher(FunctionTable(np.array([[1.0], [-1.0]]))) == 1.0
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError, match="seq_rademacher_mc"):
-            seq_rademacher_exact(FunctionTable(np.zeros((1, 2 ** 13 - 1))))
+        with pytest.raises(ValueError, match="mode='mc'"):
+            _rademacher(FunctionTable(np.zeros((1, 2 ** 13 - 1))))
 
     def test_monotone_under_class_growth(self):
         gen = RngSpec(seed=6).generator()
         base = gen.uniform(-1, 1, (3, 2 ** 6 - 1))
         extra = gen.uniform(-1, 1, (1, 2 ** 6 - 1))
-        small = seq_rademacher_exact(FunctionTable(base))
-        grown = seq_rademacher_exact(FunctionTable(np.vstack([base, extra])))
+        small = _rademacher(FunctionTable(base))
+        grown = _rademacher(FunctionTable(np.vstack([base, extra])))
         assert grown >= small - 1e-12
 
 
@@ -66,8 +75,8 @@ class TestSeqRademacherMc:
             g = int(gen.integers(1, 7))
             depth = int(gen.integers(2, 11))
             table = _random_table(100 + trial, g, depth)
-            exact = seq_rademacher_exact(table)
-            est, se = seq_rademacher_mc(table, 2000, RngSpec(seed=200 + trial))
+            exact = _rademacher(table)
+            est, se = _rademacher_mc(table, 2000, RngSpec(seed=200 + trial))
             if se == 0.0:
                 assert est == pytest.approx(exact, abs=1e-12)
             elif abs(est - exact) > 4 * se:
@@ -75,18 +84,18 @@ class TestSeqRademacherMc:
         assert misses == 0
 
     def test_zero_class(self):
-        est, se = seq_rademacher_mc(FunctionTable(np.zeros((1, 2 ** 5 - 1))), 500, RngSpec(seed=1))
+        est, se = _rademacher_mc(FunctionTable(np.zeros((1, 2 ** 5 - 1))), 500, RngSpec(seed=1))
         assert est == 0.0 and se == 0.0
 
     def test_deterministic_for_fixed_spec(self):
         table = _random_table(8, 4, 7)
-        a = seq_rademacher_mc(table, 1000, RngSpec(seed=3))
-        b = seq_rademacher_mc(table, 1000, RngSpec(seed=3))
+        a = _rademacher_mc(table, 1000, RngSpec(seed=3))
+        b = _rademacher_mc(table, 1000, RngSpec(seed=3))
         assert a == b
 
     def test_replicate_floor(self):
-        with pytest.raises(ValueError):
-            seq_rademacher_mc(_random_table(9, 2, 4), 50, RngSpec(seed=0))
+        with pytest.raises(ValueError, match="100 replicates"):
+            _rademacher_mc(_random_table(9, 2, 4), 50, RngSpec(seed=0))
 
 
 def _brute_min_cover(table, alpha, metric):
@@ -191,8 +200,18 @@ class TestDudleyIntegral:
 
 class TestOffsetExpectation:
     def test_none_reduces_to_rademacher(self):
+        # brute-force sequential Rademacher complexity: walk each sign path
+        # down the tree node by node
         table = _random_table(19, 4, 6)
-        assert offset_expectation(table, OffsetForm("none")) == seq_rademacher_exact(table)
+        n = table.depth
+        trees = [BinaryTree(n, row[:, None]) for row in table.values]
+        sups = [
+            max(sum(eps[t] * tree_get(tree, t + 1, eps[:t])[0] for t in range(n))
+                for tree in trees)
+            for eps in product((-1, 1), repeat=n)
+        ]
+        assert offset_expectation(table, OffsetForm("none")) == pytest.approx(
+            sum(sups) / len(sups), rel=1e-12, abs=1e-12)
 
     def test_quadratic_nonincreasing_in_alpha(self):
         table = _random_table(20, 4, 6)

@@ -345,6 +345,13 @@ class TestCli:
         rc = lab_main(["oracle", "--game", str(game), "--rate", "uniform-constant",
                        "--rate-value", "0.0", "--report", str(report)])
         assert rc == 1
+        # a constant above the horizon is achievable, so the value must reach the rate
+        rc = lab_main(["oracle", "--game", str(game), "--rate", "uniform-constant",
+                       "--rate-value", "10.0", "--report", str(report)])
+        assert rc == 0 and json.loads(report.read_text())["achievable"]
+        with pytest.raises(ValueError, match="unknown oracle rate"):
+            lab_main(["oracle", "--game", str(game), "--rate", "bogus",
+                      "--report", str(report)])
 
     def test_admissible_subcommand(self, tmp_path):
         game = tmp_path / "game.json"

@@ -158,6 +158,19 @@ class TestTailValidate:
         report = tail_validate("chaining", ChainingInstance(table), [0.5])
         assert report.points[0].skipped  # below sqrt(12/n)
 
+    def test_chaining_mc_above_cover_depth_cap(self):
+        # depth 17 is past the cover search's path cap, so each of the
+        # ceil(log2 17) + 4 = 9 inverse-cover terms and the tail copy count as 1
+        gen = RngSpec(seed=12).generator()
+        table = FunctionTable(gen.uniform(-1, 1, (4, 2 ** 17 - 1)))
+        thetas = [1.0, 2.0]
+        report = tail_validate("chaining", ChainingInstance(table), thetas,
+                               mode="mc", replicates=1000, rng=RngSpec(seed=1))
+        assert report.passed
+        for p, theta in zip(report.points, thetas):
+            assert not p.skipped
+            assert p.bound == pytest.approx(2.0 * 10 * math.exp(-17 * theta ** 2 / 4), rel=1e-12)
+
     def test_offset_process_singleton(self):
         gen = RngSpec(seed=9).generator()
         table = FunctionTable(gen.uniform(-1, 1, (1, 2 ** 10 - 1)))
