@@ -34,13 +34,13 @@ losses = (gen.random((n, k)) < 0.5).astype(float)
 losses[:, 0] = (gen.random(n) < 0.35).astype(float)
 
 state = TwoLevelState(prior, ladder, n, "fixed_inverse_sqrt_n")
+certificate = relaxation_value(state)
 algo_loss = 0.0
 for t in range(n):
-    q = twolevel_predict(state, t + 1)
+    q = twolevel_predict(state)
     algo_loss += float(np.dot(q.weights, losses[t]))
     state.update(losses[t])
 
-certificate = relaxation_value(state, [])
 print(f"\nstrategy loss {algo_loss:.1f}, potential at the start {certificate:.2f} "
       f"(guaranteed <= 4 sqrt(n) = {4 * math.sqrt(n):.1f})")
 
@@ -57,7 +57,7 @@ for label, f in [
           f"regret {regret:8.2f}  budget {budget:8.2f}  slack {budget - regret:8.2f}")
 
 print("\nhigh-level mixing weights after all rounds (low rungs dominate):")
-w = highlevel_weights(state, n + 1).weights
+w = highlevel_weights(state).weights
 for i, (radius, weight) in enumerate(zip(ladder.radii, w)):
     bar = "#" * int(60 * weight)
     print(f"  rung {i + 1:2d} (R = {radius:6.0f})  {weight:8.5f} {bar}")

@@ -11,6 +11,7 @@ checks and the oracle's leaf refinement.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -56,12 +57,12 @@ def _cumulative_losses(outcomes, k: int) -> np.ndarray:
 
 
 class TwoLevelState:
-    """Replayable state of the two-level strategy after t observed rounds.
+    """Incremental state of the two-level strategy after t observed rounds.
 
-    Keeps the cumulative expert losses, the full outcome history, the
-    realized loss of every rung's low-level instance at every round, and the
-    running sums of those rung losses after every prefix, so any prefix
-    quantity is reproducible from (prior, ladder, outcomes) alone.
+    Holds the cumulative expert losses, the running sum of every rung's
+    realised loss and the current rung distributions. ``update`` advances it
+    one round by rebinding these arrays, never writing into them, so a
+    ``copy`` forks the state without copying any array.
     """
 
     def __init__(self, prior: Distribution, ladder: RadiusLadder, horizon: int,
@@ -74,22 +75,18 @@ class TwoLevelState:
         self.ladder = ladder
         self.horizon = horizon
         self.lambda_mode = lambda_mode
+        self.t = 0
         self.cumulative_losses = np.zeros(prior.support_size)
-        self.outcome_history: list[np.ndarray] = []
-        self.rung_round_losses: list[np.ndarray] = []   # one (i_max,) vector per round
-        # rung_prefix_sums[t] is the sum of the first t rung-loss vectors
-        self.rung_prefix_sums: list[np.ndarray] = [np.zeros(ladder.i_max)]
-
-    @property
-    def t(self) -> int:
-        return len(self.outcome_history)
+        self.rung_cumulative = np.zeros(ladder.i_max)
+        self.rung_q = self.rung_distributions()
 
     @property
     def radii(self) -> np.ndarray:
         return self.ladder.radii
 
     def rung_distributions(self) -> np.ndarray:
-        """Current q^{R_i} for every rung, as an (i_max, K) row-stochastic array."""
+        """q^{R_i} for every rung at the cumulative losses, as an (i_max, K)
+        row-stochastic array; the state keeps the current one in ``rung_q``."""
         rates = np.sqrt(self.radii / self.horizon)
         with np.errstate(divide="ignore"):
             logw = np.log(self.prior.weights)[None, :] - rates[:, None] * self.cumulative_losses[None, :]
@@ -97,33 +94,22 @@ class TwoLevelState:
         w = np.exp(shifted)
         return w / w.sum(axis=1, keepdims=True)
 
-    def rung_cumulative_losses(self) -> np.ndarray:
-        return self.rung_prefix_sums[-1].copy()
-
     def update(self, outcome) -> None:
         y = np.asarray(outcome, dtype=float)
         if y.shape != (self.prior.support_size,):
             raise ValueError("outcome must be a per-expert loss vector")
-        rung_q = self.rung_distributions()
-        rung_loss = rung_q @ y
-        self.rung_round_losses.append(rung_loss)
-        self.rung_prefix_sums.append(self.rung_prefix_sums[-1] + rung_loss)
+        self.rung_cumulative = self.rung_cumulative + self.rung_q @ y
         self.cumulative_losses = self.cumulative_losses + y
-        self.outcome_history.append(y)
+        self.rung_q = self.rung_distributions()
+        self.t += 1
 
-    @classmethod
-    def replay(cls, prior, ladder, horizon, outcomes, lambda_mode=LAMBDA_OPTIMIZED):
-        state = cls(prior, ladder, horizon, lambda_mode)
-        for y in outcomes:
-            state.update(y)
-        return state
+    def copy(self) -> TwoLevelState:
+        return copy.copy(self)
 
 
-def _rung_exponents(state: TwoLevelState, prefix_len: int) -> np.ndarray:
-    """A_i = realized rung losses through the prefix plus sqrt(n R_i)."""
-    if not 0 <= prefix_len <= state.t:
-        raise ValueError("state is not consistent through the requested round")
-    return state.rung_prefix_sums[prefix_len] + np.sqrt(state.horizon * state.radii)
+def _rung_exponents(state: TwoLevelState) -> np.ndarray:
+    """A_i = realized rung losses so far plus sqrt(n R_i)."""
+    return state.rung_cumulative + np.sqrt(state.horizon * state.radii)
 
 
 def _potential(lam: float, exponents: np.ndarray, remaining: int) -> float:
@@ -150,81 +136,62 @@ def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
     return min(xs)
 
 
-def _lambda_bracket(horizon: int):
-    root = math.sqrt(horizon)
-    return math.log(LAMBDA_BRACKET[0] / root), math.log(LAMBDA_BRACKET[1] / root)
+def _scale_search(state: TwoLevelState):
+    """(minimum, log of the minimising scale) of the potential at the state's
+    prefix, over the bracket LAMBDA_BRACKET / sqrt(n)."""
+    exponents = _rung_exponents(state)
+    remaining = state.horizon - state.t
+    root = math.sqrt(state.horizon)
+    lo, hi = math.log(LAMBDA_BRACKET[0] / root), math.log(LAMBDA_BRACKET[1] / root)
+    return _golden_min(lambda x: _potential(math.exp(x), exponents, remaining), lo, hi)
 
 
-def relaxation_lambda(state: TwoLevelState, t: int) -> float:
-    """Scale used by round t's high-level weights.
+def relaxation_lambda(state: TwoLevelState) -> float:
+    """Scale used by the next round's high-level weights.
 
     In optimized mode this is the bracketed argmin of the potential at the
-    (t-1)-prefix with t-1 rounds consumed; in fixed mode it is 1/sqrt(n).
+    state's prefix; in fixed mode it is 1/sqrt(n).
     """
     if state.lambda_mode == LAMBDA_FIXED:
         return 1.0 / math.sqrt(state.horizon)
-    exponents = _rung_exponents(state, t - 1)
-    remaining = state.horizon - t + 1
-    lo, hi = _lambda_bracket(state.horizon)
-    _, u = _golden_min(lambda x: _potential(math.exp(x), exponents, remaining), lo, hi)
-    return math.exp(u)
+    return math.exp(_scale_search(state)[1])
 
 
-def highlevel_weights(state: TwoLevelState, t: int) -> Distribution:
-    """Round-t mixing weights over the rung instances."""
-    if not 1 <= t <= state.t + 1:
-        raise ValueError("round t must be within the observed history plus one")
-    lam = relaxation_lambda(state, t)
-    return normalize_log_weights(-lam * _rung_exponents(state, t - 1))
+def highlevel_weights(state: TwoLevelState) -> Distribution:
+    """Next round's mixing weights over the rung instances."""
+    return normalize_log_weights(-relaxation_lambda(state) * _rung_exponents(state))
 
 
-def twolevel_predict(state: TwoLevelState, t: int) -> Distribution:
-    """Round-t prediction: the exact rung mixture of low-level instances.
+def twolevel_predict(state: TwoLevelState) -> Distribution:
+    """Next round's prediction: the exact rung mixture of low-level instances.
 
     Under linear loss the mixture matches two-stage sampling in expectation.
     """
-    weights = highlevel_weights(state, t)
-    if t == state.t + 1:
-        rung_q = state.rung_distributions()
-    else:
-        fresh = TwoLevelState(state.prior, state.ladder, state.horizon, state.lambda_mode)
-        for y in state.outcome_history[: t - 1]:
-            fresh.update(y)
-        rung_q = fresh.rung_distributions()
-    mixture = weights.weights @ rung_q
+    mixture = highlevel_weights(state).weights @ state.rung_q
     return Distribution(mixture / mixture.sum())
 
 
-def relaxation_value(state: TwoLevelState, outcomes=None) -> float:
-    """Potential value at the given prefix (default: the state's history).
+def relaxation_value(state: TwoLevelState) -> float:
+    """Potential value at the state's prefix.
 
     Optimized mode takes the bracketed minimum over the scale; fixed mode
     evaluates at 1/sqrt(n). At the empty prefix the fixed-mode value stays
     below 4 sqrt(n).
     """
-    if outcomes is None:
-        prefix_state, t = state, state.t
-    else:
-        prefix_state = TwoLevelState.replay(
-            state.prior, state.ladder, state.horizon, outcomes, state.lambda_mode
-        )
-        t = prefix_state.t
-    exponents = _rung_exponents(prefix_state, t)
-    remaining = state.horizon - t
+    remaining = state.horizon - state.t
     if remaining < 0:
         raise ValueError("prefix longer than the horizon")
     if state.lambda_mode == LAMBDA_FIXED:
-        return _potential(1.0 / math.sqrt(state.horizon), exponents, remaining)
-    lo, hi = _lambda_bracket(state.horizon)
-    best, _ = _golden_min(lambda x: _potential(math.exp(x), exponents, remaining), lo, hi)
-    return best
+        return _potential(1.0 / math.sqrt(state.horizon), _rung_exponents(state), remaining)
+    return _scale_search(state)[0]
 
 
 class TwoLevelRelaxation:
     """Potential/strategy pair targeting the KL-radius rate.
 
-    ``value`` and ``strategy`` replay the prefix deterministically, so the
-    object is stateless across calls and safe to share.
+    ``start`` gives the state at the empty prefix; ``value`` and ``strategy``
+    read a state that the caller advances with ``update`` and forks with
+    ``copy``. The object itself holds no play state and is safe to share.
     """
 
     name = "two-level-ew"
@@ -237,15 +204,14 @@ class TwoLevelRelaxation:
         self.ladder = ladder if ladder is not None else RadiusLadder.for_game(horizon, prior.support_size)
         self.lambda_mode = lambda_mode
 
-    def _replay(self, outcomes) -> TwoLevelState:
-        return TwoLevelState.replay(self.prior, self.ladder, self.horizon, outcomes, self.lambda_mode)
+    def start(self) -> TwoLevelState:
+        return TwoLevelState(self.prior, self.ladder, self.horizon, self.lambda_mode)
 
-    def value(self, outcomes) -> float:
-        return relaxation_value(self._replay(outcomes))
+    def value(self, state: TwoLevelState) -> float:
+        return relaxation_value(state)
 
-    def strategy(self, outcomes) -> Distribution:
-        state = self._replay(outcomes)
-        return twolevel_predict(state, state.t + 1)
+    def strategy(self, state: TwoLevelState) -> Distribution:
+        return twolevel_predict(state)
 
     def rate(self, comparator, outcomes=None) -> float:
         f = comparator if isinstance(comparator, Distribution) else Distribution(np.asarray(comparator, dtype=float))

@@ -311,19 +311,16 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 
 def _audit_one(config, relaxation, rates, losses, rep):
-    from .algorithms import TwoLevelState, twolevel_predict
-
     n, k = losses.shape
-    state = TwoLevelState(relaxation.prior, relaxation.ladder, relaxation.horizon,
-                          relaxation.lambda_mode)
+    state = relaxation.start()
+    certificate = relaxation.value(state)
     per_round = []
     for t in range(n):
-        q = twolevel_predict(state, t + 1)
+        q = relaxation.strategy(state)
         per_round.append(float(np.dot(q.weights, losses[t])))
         state.update(losses[t])
     algo_total = float(sum(per_round))
     cumulative = losses.sum(axis=0)
-    certificate = relaxation.value(losses[:0])
 
     grid = audit_grid(relaxation.prior, config.simplex_resolution, config.grid_budget,
                       relaxation.ladder, cumulative)

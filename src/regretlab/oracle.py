@@ -3,8 +3,9 @@
 Backward induction over all outcome histories of a finite game, with each
 round solved as a zero-sum matrix game by linear programming: the root value
 is nonpositive exactly when the rate is achievable. A companion checker
-replays a potential/strategy pair against every prefix (or a sample) and
-verifies the round-by-round and terminal inequalities it must satisfy.
+advances a potential/strategy pair's state through every outcome history
+(or a sample of them) and verifies the round-by-round and terminal
+inequalities it must satisfy.
 """
 
 from __future__ import annotations
@@ -200,10 +201,6 @@ class AdmissibilityReport:
         return self.worst_margin >= -self.tol
 
 
-def _outcome_vectors(game: GameSpec, history) -> np.ndarray:
-    return game.outcomes[list(history)]
-
-
 def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
                         sample_count: int = 1000, rng: RngSpec | None = None,
                         tol: float = 1e-6) -> AdmissibilityReport:
@@ -213,42 +210,46 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
     one-step continuation under the potential's own strategy. Terminal
     margin: potential at the full sequence plus the best penalised
     comparator loss. The check passes when every margin clears -tol.
+
+    ``relaxation`` gives the empty-prefix state by ``start()``, reads a
+    state by ``value`` and ``strategy``, and penalises a comparator by
+    ``rate(f, outcomes)``; its states advance by ``update`` and fork by
+    ``copy``. Exhaustive mode walks the history tree level by level in
+    lexicographic order, computing each node's potential once.
     """
     n, m = game.horizon, game.n_outcomes
+    recursive = []
     if mode == "exhaustive":
         if m ** n > 10 ** 5:
             raise BudgetError(f"exhaustive mode needs |outcomes|^n <= 1e5, got {m ** n}")
-        prefixes = [p for t in range(n) for p in _all_histories(m, t)]
-        terminals = list(_all_histories(m, n))
+        root = relaxation.start()
+        level = [((), root, relaxation.value(root))]
+        for t in range(n):
+            children = []
+            for prefix, state, here in level:
+                margin, nodes = _one_step(relaxation, game, state, here)
+                recursive.append((prefix, margin))
+                # a leaf keeps only its potential, so the widest level holds no states
+                children += [(prefix + (y,), child if t < n - 1 else None, value)
+                             for y, (child, value) in enumerate(nodes)]
+            level = children
+        terminals = [(seq, value) for seq, _, value in level]
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an RngSpec")
         gen = rng.generator()
         prefixes = [tuple(gen.integers(0, m, size=int(gen.integers(0, n))))
                     for _ in range(sample_count)]
-        terminals = [tuple(gen.integers(0, m, size=n)) for _ in range(sample_count)]
+        sequences = [tuple(gen.integers(0, m, size=n)) for _ in range(sample_count)]
+        for prefix in prefixes:
+            state = _advance(relaxation, game, prefix)
+            margin, _ = _one_step(relaxation, game, state, relaxation.value(state))
+            recursive.append((prefix, margin))
+        terminals = [(seq, relaxation.value(_advance(relaxation, game, seq))) for seq in sequences]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    recursive = []
-    for prefix in prefixes:
-        ys = _outcome_vectors(game, prefix)
-        here = relaxation.value(ys)
-        q = relaxation.strategy(ys)
-        worst = -math.inf
-        for y in range(m):
-            step = expected_loss(q, y, game)
-            cont = relaxation.value(_outcome_vectors(game, prefix + (y,)))
-            worst = max(worst, step + cont)
-        recursive.append((prefix, here - worst))
-
-    initial = []
-    for seq in terminals:
-        ys = _outcome_vectors(game, seq)
-        cum = game.loss[:, list(seq)].sum(axis=1)
-        best = min(float(np.dot(f, cum)) + relaxation.rate(f, ys) for f in game.comparators)
-        initial.append((seq, relaxation.value(ys) + best))
-
+    initial = [(seq, value + _best_penalised(relaxation, game, seq)) for seq, value in terminals]
     all_margins = recursive + initial
     worst_prefix, worst_margin = min(all_margins, key=lambda kv: kv[1])
     return AdmissibilityReport(
@@ -261,13 +262,33 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
     )
 
 
-def _all_histories(m: int, t: int):
-    if t == 0:
-        yield ()
-        return
-    for head in _all_histories(m, t - 1):
-        for y in range(m):
-            yield head + (y,)
+def _one_step(relaxation, game: GameSpec, state, here: float):
+    """Recursive margin at a state whose potential is ``here``, and each
+    outcome's (child state, child potential) in outcome order."""
+    q = relaxation.strategy(state)
+    worst = -math.inf
+    children = []
+    for y in range(game.n_outcomes):
+        child = state.copy()
+        child.update(game.outcomes[y])
+        cont = relaxation.value(child)
+        worst = max(worst, expected_loss(q, y, game) + cont)
+        children.append((child, cont))
+    return here - worst, children
+
+
+def _advance(relaxation, game: GameSpec, seq):
+    state = relaxation.start()
+    for y in seq:
+        state.update(game.outcomes[y])
+    return state
+
+
+def _best_penalised(relaxation, game: GameSpec, seq) -> float:
+    """Least comparator loss plus rate penalty over the outcome sequence."""
+    ys = game.outcomes[list(seq)]
+    cum = game.loss[:, list(seq)].sum(axis=1)
+    return min(float(np.dot(f, cum)) + relaxation.rate(f, ys) for f in game.comparators)
 
 
 @dataclass(frozen=True)
@@ -284,15 +305,14 @@ def regret_certificate(relaxation, game: GameSpec, outcome_indices) -> Certifica
     """Play the relaxation's strategy and compare realised regret with the
     potential's starting value."""
     seq = tuple(int(y) for y in outcome_indices)
+    state = relaxation.start()
+    start = relaxation.value(state)
     losses = []
-    for t, y in enumerate(seq):
-        q = relaxation.strategy(_outcome_vectors(game, seq[:t]))
-        losses.append(expected_loss(q, y, game))
-    ys = _outcome_vectors(game, seq)
-    cum = game.loss[:, list(seq)].sum(axis=1)
-    best = min(float(np.dot(f, cum)) + relaxation.rate(f, ys) for f in game.comparators)
+    for y in seq:
+        losses.append(expected_loss(relaxation.strategy(state), y, game))
+        state.update(game.outcomes[y])
+    best = _best_penalised(relaxation, game, seq)
     lhs = sum(losses) - best
-    start = relaxation.value(game.outcomes[: 0])
     return CertificateReport(
         algorithm_loss=float(sum(losses)),
         best_penalised_comparator=best,

@@ -277,7 +277,9 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
         table = instance.table
         signed, _ = _signed_and_square_sums(table, signs, idx)
         sup_abs = np.abs(signed).max(axis=0)
-        if n <= EXACT_DEPTH_CAP:
+        if mode == "exact":     # every path is in hand: the anchor is their mean supremum
+            rad = float(signed.max(axis=0).mean())
+        elif n <= EXACT_DEPTH_CAP:
             rad = offset_expectation(table, OffsetForm("none"))
         else:   # no exact anchor above the cap: 20 000 sampled paths stand in
             rad, _ = offset_expectation(table, OffsetForm("none"), mode="mc", rng=rng,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab.algorithms import (
     LAMBDA_FIXED,
@@ -55,27 +57,32 @@ class TestLowLevelEw:
 
 def _random_state(seed, k=2, n=16, i_max=4, mode=LAMBDA_FIXED, rounds=None):
     gen = RngSpec(seed=seed).generator()
-    state = TwoLevelState(Distribution.uniform(k), RadiusLadder(i_max), n, mode)
-    for _ in range(n if rounds is None else rounds):
-        state.update(gen.random(k))
+    return _played(gen.random((n if rounds is None else rounds, k)), n, i_max, mode)
+
+
+def _played(ys, n, i_max, mode):
+    """State after playing the rows of ys from the empty prefix."""
+    state = TwoLevelState(Distribution.uniform(np.shape(ys)[1]), RadiusLadder(i_max), n, mode)
+    for y in ys:
+        state.update(y)
     return state
 
 
 class TestHighLevelWeights:
     def test_first_round_fixed_mode(self):
         state = TwoLevelState(Distribution.uniform(2), RadiusLadder(4), 16, LAMBDA_FIXED)
-        w = highlevel_weights(state, 1).weights
+        w = highlevel_weights(state).weights
         raw = np.exp(-np.sqrt(RadiusLadder(4).radii))
         np.testing.assert_allclose(w, raw / raw.sum(), rtol=1e-12)
 
     def test_single_rung_point_mass(self):
         state = _random_state(3, i_max=1, rounds=5)
-        np.testing.assert_array_equal(highlevel_weights(state, 6).weights, [1.0])
+        np.testing.assert_array_equal(highlevel_weights(state).weights, [1.0])
 
     def test_both_modes_normalize(self):
         for mode in (LAMBDA_FIXED, LAMBDA_OPTIMIZED):
             state = _random_state(4, i_max=4, mode=mode, rounds=9)
-            w = highlevel_weights(state, 10).weights
+            w = highlevel_weights(state).weights
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w >= 0)
 
@@ -96,19 +103,20 @@ class TestHighLevelWeights:
 class TestTwoLevelPredict:
     def test_first_round_is_prior(self):
         state = TwoLevelState(Distribution.uniform(2), RadiusLadder(3), 8, LAMBDA_FIXED)
-        np.testing.assert_allclose(twolevel_predict(state, 1).weights, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(twolevel_predict(state).weights, [0.5, 0.5], atol=1e-15)
 
     def test_single_rung_equals_lowlevel(self):
-        state = _random_state(6, k=3, i_max=1, rounds=7)
-        got = twolevel_predict(state, 8).weights
-        expected = lowlevel_ew(state.prior, 1.0, 16, state.outcome_history).weights
+        ys = RngSpec(seed=6).generator().random((7, 3))
+        state = _played(ys, 16, 1, LAMBDA_FIXED)
+        got = twolevel_predict(state).weights
+        expected = lowlevel_ew(state.prior, 1.0, 16, ys).weights
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_two_stage_sampling_matches_mixture(self):
         state = _random_state(7, k=3, n=16, i_max=4, rounds=10)
-        mix = twolevel_predict(state, 11).weights
-        hw = highlevel_weights(state, 11).weights
-        rungs = state.rung_distributions()
+        mix = twolevel_predict(state).weights
+        hw = highlevel_weights(state).weights
+        rungs = state.rung_q
         gen = RngSpec(seed=8).generator()
         m = 10 ** 5
         i_draw = gen.choice(4, size=m, p=hw)
@@ -126,31 +134,34 @@ class TestTwoLevelPredict:
             state = TwoLevelState(Distribution.uniform(2), RadiusLadder(3), 12, LAMBDA_OPTIMIZED)
             preds = []
             for y in ys:
-                preds.append(twolevel_predict(state, state.t + 1).weights.copy())
+                preds.append(twolevel_predict(state).weights.copy())
                 state.update(y)
             seqs.append(np.array(preds))
         np.testing.assert_array_equal(seqs[0], seqs[1])
 
 
-class TestRungPrefixSums:
-    @pytest.mark.parametrize("mode", [LAMBDA_FIXED, LAMBDA_OPTIMIZED])
-    def test_past_rounds_match_replayed_prefix(self, mode):
-        gen = RngSpec(seed=14).generator()
-        ys = gen.random((12, 3))
-        state = TwoLevelState(Distribution.uniform(3), RadiusLadder(4), 12, mode)
-        played = []
-        for y in ys:
-            q = twolevel_predict(state, state.t + 1)
-            played.append(float(np.dot(q.weights, y)))
-            state.update(y)
-        for t in range(1, state.t):
-            replayed = TwoLevelState.replay(state.prior, state.ladder, state.horizon,
-                                            ys[: t - 1], mode)
-            np.testing.assert_array_equal(highlevel_weights(state, t).weights,
-                                          highlevel_weights(replayed, t).weights)
-            assert float(np.dot(twolevel_predict(state, t).weights, ys[t - 1])) == played[t - 1]
-        np.testing.assert_array_equal(state.rung_cumulative_losses(),
-                                      np.sum(state.rung_round_losses, axis=0))
+class TestStateFork:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 10),
+           st.sampled_from([LAMBDA_FIXED, LAMBDA_OPTIMIZED]), st.data())
+    def test_advancing_a_copy_leaves_the_original(self, seed, k, n, mode, data):
+        ys = RngSpec(seed=seed).generator().random((n, k))
+        fork_at = data.draw(st.integers(0, n - 1))
+        state = _played(ys[:fork_at], n, 3, mode)
+        before = (relaxation_value(state), twolevel_predict(state).weights,
+                  state.rung_cumulative.copy(), state.cumulative_losses.copy())
+        twin = state.copy()
+        for y in ys[fork_at:]:
+            twin.update(y)
+        assert twin.t == n and state.t == fork_at
+        assert relaxation_value(state) == before[0]
+        np.testing.assert_array_equal(twolevel_predict(state).weights, before[1])
+        np.testing.assert_array_equal(state.rung_cumulative, before[2])
+        np.testing.assert_array_equal(state.cumulative_losses, before[3])
+        # the advanced copy is where a fresh play of every row arrives
+        fresh = _played(ys, n, 3, mode)
+        np.testing.assert_array_equal(twin.rung_cumulative, fresh.rung_cumulative)
+        assert relaxation_value(twin) == relaxation_value(fresh)
 
 
 class TestRelaxationValue:
@@ -161,7 +172,7 @@ class TestRelaxationValue:
     def test_single_rung_terminal_closed_form(self):
         for n in (4, 16, 64):
             state = _random_state(n, k=3, n=n, i_max=1, mode=LAMBDA_OPTIMIZED, rounds=n)
-            total = float(np.sum(state.rung_round_losses))
+            total = float(state.rung_cumulative[0])
             assert relaxation_value(state) == pytest.approx(-(total + math.sqrt(n)), abs=1e-6)
 
     def test_optimized_never_worse_than_fixed(self):
@@ -171,20 +182,13 @@ class TestRelaxationValue:
             t = int(gen.integers(0, n + 1))
             k = int(gen.integers(2, 5))
             ys = gen.random((t, k))
-            opt = TwoLevelState.replay(Distribution.uniform(k), RadiusLadder(3), n, ys, LAMBDA_OPTIMIZED)
-            fix = TwoLevelState.replay(Distribution.uniform(k), RadiusLadder(3), n, ys, LAMBDA_FIXED)
+            opt = _played(ys, n, 3, LAMBDA_OPTIMIZED)
+            fix = _played(ys, n, 3, LAMBDA_FIXED)
             assert relaxation_value(opt) <= relaxation_value(fix) + 1e-9
-
-    def test_explicit_prefix_matches_replay(self):
-        state = _random_state(12, rounds=10)
-        prefix = state.outcome_history[:4]
-        by_arg = relaxation_value(state, prefix)
-        replayed = TwoLevelState.replay(state.prior, state.ladder, state.horizon, prefix, state.lambda_mode)
-        assert by_arg == relaxation_value(replayed)
 
     def test_optimized_lambda_inside_bracket(self):
         state = _random_state(13, rounds=8, mode=LAMBDA_OPTIMIZED)
-        lam = relaxation_lambda(state, 9)
+        lam = relaxation_lambda(state)
         root = math.sqrt(state.horizon)
         assert 1e-6 / root <= lam <= 1e3 / root
 
@@ -288,10 +292,12 @@ class TestTwoLevelRelaxationObject:
         gen = RngSpec(seed=34).generator()
         ys = gen.random((5, 2))
         relax = TwoLevelRelaxation(Distribution.uniform(2), 8, RadiusLadder(3), LAMBDA_FIXED)
-        state = TwoLevelState.replay(relax.prior, relax.ladder, 8, ys, LAMBDA_FIXED)
-        np.testing.assert_array_equal(
-            relax.strategy(ys).weights, twolevel_predict(state, 6).weights
-        )
+        state = relax.start()
+        for y in ys:
+            state.update(y)
+        direct = _played(ys, 8, 3, LAMBDA_FIXED)
+        np.testing.assert_array_equal(relax.strategy(state).weights, twolevel_predict(direct).weights)
+        assert relax.value(state) == relaxation_value(direct)
 
     def test_rate_is_kl_radius(self):
         relax = TwoLevelRelaxation(Distribution.uniform(4), 16)

@@ -185,7 +185,7 @@ class TestRunExperiment:
         # competing with the uniform mixture over the best eps-fraction of
         # experts turns the prior-relative term into log(1/eps)
         import regretlab as rl
-        from regretlab.algorithms import TwoLevelRelaxation, TwoLevelState, twolevel_predict
+        from regretlab.algorithms import TwoLevelRelaxation
         from regretlab.bounds import pacbayes_rate
 
         k, n = 64, 256
@@ -195,13 +195,13 @@ class TestRunExperiment:
         )
         prior = rl.Distribution.uniform(k)
         relax = TwoLevelRelaxation(prior, n, lambda_mode="fixed_inverse_sqrt_n")
-        state = TwoLevelState(prior, relax.ladder, n, relax.lambda_mode)
+        state = relax.start()
+        certificate = relax.value(state)
         algo = 0.0
         for t in range(n):
-            q = twolevel_predict(state, t + 1)
+            q = relax.strategy(state)
             algo += float(np.dot(q.weights, losses[t]))
             state.update(losses[t])
-        certificate = relax.value(losses[:0])
         cum = losses.sum(axis=0)
         for eps in (1 / 2, 1 / 4, 1 / 8):
             top = int(k * eps)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from regretlab.algorithms import LAMBDA_FIXED, TwoLevelRelaxation
+from regretlab.algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation
 from regretlab.bounds import AdaptiveRate
-from regretlab.core import Distribution, GameSpec, RadiusLadder, RngSpec
+from regretlab.core import Distribution, GameSpec, RadiusLadder, RngSpec, expected_loss
 from regretlab.harness import simplex_grid
 from regretlab.oracle import (
     BudgetError,
@@ -21,6 +21,34 @@ from regretlab.oracle import (
 def _binary_game(horizon, comparators=None):
     outcomes = [list(v) for v in itertools.product([0.0, 1.0], repeat=2)]
     return GameSpec.experts_game(outcomes, horizon=horizon, comparators=comparators)
+
+
+def _fresh_state(relax, game, seq):
+    """The relaxation's state at a prefix, played afresh from the empty prefix."""
+    state = relax.start()
+    for y in seq:
+        state.update(game.outcomes[y])
+    return state
+
+
+def _fresh_margins(relax, game):
+    """Every exhaustive margin, each prefix's state built afresh."""
+    n, m = game.horizon, game.n_outcomes
+    recursive = []
+    for t in range(n):
+        for prefix in itertools.product(range(m), repeat=t):
+            state = _fresh_state(relax, game, prefix)
+            q = relax.strategy(state)
+            worst = max(expected_loss(q, y, game) + relax.value(_fresh_state(relax, game, prefix + (y,)))
+                        for y in range(m))
+            recursive.append((prefix, relax.value(state) - worst))
+    initial = []
+    for seq in itertools.product(range(m), repeat=n):
+        cum = game.loss[:, list(seq)].sum(axis=1)
+        ys = game.outcomes[list(seq)]
+        best = min(float(np.dot(f, cum)) + relax.rate(f, ys) for f in game.comparators)
+        initial.append((seq, relax.value(_fresh_state(relax, game, seq)) + best))
+    return tuple(recursive), tuple(initial)
 
 
 class TestMatrixGameValue:
@@ -149,26 +177,19 @@ class TestAdmissibilityCheck:
 
     def test_corrupted_relaxation_identified(self):
         game = _binary_game(horizon=4)
-        base = TwoLevelRelaxation(Distribution.uniform(2), 4, RadiusLadder(3), LAMBDA_FIXED)
-        target = np.asarray(game.outcomes[[1, 2]])
 
-        class Corrupt:
-            def value(self, ys):
-                v = base.value(ys)
-                arr = np.asarray(ys)
-                if arr.shape == target.shape and np.allclose(arr, target):
+        class Corrupt(TwoLevelRelaxation):
+            # only the prefix (3, 3), two rounds of (1, 1), reaches losses (2, 2)
+            def value(self, state):
+                v = super().value(state)
+                if state.t == 2 and np.array_equal(state.cumulative_losses, [2.0, 2.0]):
                     v -= 2.0
                 return v
 
-            def strategy(self, ys):
-                return base.strategy(ys)
-
-            def rate(self, f, ys=None):
-                return base.rate(f, ys)
-
-        report = admissibility_check(Corrupt(), game, mode="exhaustive")
+        relax = Corrupt(Distribution.uniform(2), 4, RadiusLadder(3), LAMBDA_FIXED)
+        report = admissibility_check(relax, game, mode="exhaustive")
         assert not report.verdict
-        assert report.worst_prefix == (1, 2)
+        assert report.worst_prefix == (3, 3)
 
     def test_sampled_agrees_with_exhaustive(self):
         game = _binary_game(horizon=4)
@@ -178,6 +199,20 @@ class TestAdmissibilityCheck:
                                       rng=RngSpec(seed=15))
         assert sampled.verdict == full.verdict
         assert sampled.worst_margin >= full.worst_margin - 1e-12
+
+    @pytest.mark.parametrize("mode", LAMBDA_MODES)
+    @pytest.mark.parametrize("outcomes,horizon", [
+        (list(itertools.product([0.0, 1.0], repeat=2)), 3),
+        (list(itertools.product([0.0, 1.0], repeat=3)), 2),
+    ], ids=["2x4-n3", "3x8-n2"])
+    def test_exhaustive_margins_match_fresh_states(self, mode, outcomes, horizon):
+        game = GameSpec.experts_game(outcomes, horizon=horizon)
+        k = game.n_decisions
+        relax = TwoLevelRelaxation(Distribution.uniform(k), horizon, lambda_mode=mode)
+        report = admissibility_check(relax, game, mode="exhaustive")
+        recursive, initial = _fresh_margins(relax, game)
+        assert report.recursive_margins == recursive
+        assert report.initial_margins == initial
 
     def test_exhaustive_budget(self):
         game = _binary_game(horizon=10)
@@ -208,6 +243,15 @@ class TestRegretCertificate:
             seq = RngSpec(seed=900 + s).generator().integers(0, 4, size=16)
             worst = min(worst, regret_certificate(relax, game, seq).margin)
         assert worst >= 0.0
+
+    @pytest.mark.parametrize("mode", LAMBDA_MODES)
+    def test_per_round_losses_match_fresh_states(self, mode):
+        game = _binary_game(horizon=12)
+        relax = TwoLevelRelaxation(Distribution.uniform(2), 12, lambda_mode=mode)
+        seq = [int(y) for y in RngSpec(seed=41).generator().integers(0, 4, size=12)]
+        want = tuple(expected_loss(relax.strategy(_fresh_state(relax, game, seq[:t])), y, game)
+                     for t, y in enumerate(seq))
+        assert regret_certificate(relax, game, seq).per_round_losses == want
 
     def test_admissibility_implies_certificate(self):
         # chaining the per-round inequalities bounds every play-out
