@@ -302,9 +302,12 @@ def fixed_radius_inequality_check(prior: Distribution, radius: float, horizon: i
     _, best = kl_ball_minimizer(prior, radius, ys.sum(axis=0))
     lhs = -best
     algo = 0.0
-    for t in range(horizon):
-        q = lowlevel_ew(prior, radius, horizon, ys[:t])
-        algo += float(np.dot(q.weights, ys[t]))
+    cum = np.zeros(prior.support_size)
+    for y in ys:
+        # one row holding the running sum stands for the played prefix
+        q = lowlevel_ew(prior, radius, horizon, cum[None, :])
+        algo += float(np.dot(q.weights, y))
+        cum = cum + y
     rhs = -algo + 2.0 * math.sqrt(radius * horizon)
     margin = rhs - lhs
     return FixedRadiusReport(lhs=lhs, rhs=rhs, margin=margin, violation=margin < -1e-8)

@@ -287,7 +287,7 @@ class AdaptiveRate:
             return None
         return RadiusLadder.for_game(n, prior.support_size)
 
-    def evaluate(self, comparator, outcomes, inputs=None) -> float:
+    def evaluate(self, comparator, outcomes) -> float:
         kind = self.kind
         p = self.params
         if kind == "uniform_constant":

@@ -175,10 +175,6 @@ class GameSpec:
     def n_decisions(self) -> int:
         return len(self.decisions)
 
-    def comparator_loss(self, f, y: int) -> float:
-        """Expected loss of mixture comparator f on outcome index y."""
-        return float(np.dot(np.asarray(f, dtype=float), self.loss[:, y]))
-
     @staticmethod
     def experts_game(outcome_vectors, horizon, comparators=None, loss_range=(0.0, 1.0)):
         """Linear experts game: loss of expert k on outcome y is y[k]."""

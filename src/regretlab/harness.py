@@ -226,20 +226,12 @@ def _uniform_rate(experts, value=0.0):
     return AdaptiveRate("uniform_constant", value=value)
 
 
-def _predictable_rate(experts, value=0.0):
-    raise ValueError(
-        "rate 'predictable' needs per-round input sequences; the experts "
-        "environments have none (strategy/rate incompatibility)"
-    )
-
-
 # name -> builder(experts, value); value is the uniform-constant rate's constant.
 RATE_BUILDERS = {
     "kl-radius": _kl_radius_rate,
     "pac-bayes": _pac_bayes_rate,
     "fixed-vs-best": _fixed_vs_best_rate,
     "uniform-constant": _uniform_rate,
-    "predictable": _predictable_rate,
 }
 
 

@@ -1,17 +1,17 @@
 """Exact desk-scale certification of adaptive rates and relaxations.
 
-Backward induction over all outcome histories of a finite game, with each
-round solved as a zero-sum matrix game by linear programming: the root value
-is nonpositive exactly when the rate is achievable. A companion checker
-advances a potential/strategy pair's state through every outcome history
-(or a sample of them) and verifies the round-by-round and terminal
-inequalities it must satisfy.
+One backward induction over all outcome histories of a finite game, with
+each round solved as a zero-sum matrix game by one linear program whose
+saddle gap is checked: the root value is nonpositive exactly when the rate
+is achievable. A companion checker advances a potential/strategy pair's
+state through every outcome history (or a sample of them) and verifies the
+round-by-round and terminal inequalities it must satisfy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -30,95 +30,104 @@ class BudgetError(RuntimeError):
 def matrix_game_value(matrix) -> tuple[float, Distribution, Distribution]:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    The row player minimises, the column player maximises. Both sides are
-    solved as linear programs; the duality gap is checked to 1e-9 on every
-    call.
+    The row player minimises, the column player maximises. One linear
+    program gives the value and the row strategy; the column strategy is
+    read from its inequality duals. Every call checks the saddle gap,
+    ``max_y (q^T m)_y - min_i (m p)_i``, to LP_GAP_TOL relative to the value.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if np.any(np.isnan(m)):
         raise ValueError("matrix contains NaN")
     r, c = m.shape
-
-    row_val, row_mix = _solve_side(m, minimize=True)
-    col_val, col_mix = _solve_side(-m.T, minimize=True)
-    col_val = -col_val
-    if abs(row_val - col_val) > LP_GAP_TOL * max(1.0, abs(row_val)):
-        raise AssertionError(f"LP duality gap {row_val - col_val} exceeds tolerance")
-    return row_val, Distribution(row_mix), Distribution(col_mix)
-
-
-def _solve_side(m, minimize=True):
-    """min over mixtures q of max over columns of (q^T m), via linprog."""
-    r, c = m.shape
     # variables: q_1..q_r, v ; minimise v subject to m^T q <= v, sum q = 1
     c_vec = np.zeros(r + 1)
     c_vec[-1] = 1.0
     a_ub = np.hstack([m.T, -np.ones((c, 1))])
-    b_ub = np.zeros(c)
     a_eq = np.zeros((1, r + 1))
     a_eq[0, :r] = 1.0
     bounds = [(0.0, None)] * r + [(None, None)]
-    res = linprog(c_vec, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+    res = linprog(c_vec, A_ub=a_ub, b_ub=np.zeros(c), A_eq=a_eq, b_eq=[1.0],
                   bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"matrix game LP failed: {res.message}")
-    q = np.clip(res.x[:r], 0.0, None)
-    return float(res.fun), q / q.sum()
+    value = float(res.fun)
+    q = _mixture(res.x[:r])
+    p = _mixture(-res.ineqlin.marginals)
+    gap = float(np.max(q @ m) - np.min(m @ p))
+    if not gap <= LP_GAP_TOL * max(1.0, abs(value)):
+        raise AssertionError(f"saddle gap {gap} exceeds tolerance")
+    return value, Distribution(q), Distribution(p)
 
 
-@dataclass
-class GameValueCache:
-    """Backward-induction bookkeeping for one solve."""
-
-    horizon: int
-    values: dict = field(default_factory=dict)
-    best_response: dict = field(default_factory=dict)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.values)
+def _mixture(x) -> np.ndarray:
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()
 
 
-def _leaf_value(game: GameSpec, rate, history, refine: bool) -> float:
-    outcome_seq = game.outcomes[list(history)]
+def _refinement_ladder(game: GameSpec, rate):
+    """The rate's KL-ball radius ladder when its leaves refine on this game:
+    it carries a prior over exactly the game's decisions. None otherwise."""
+    ladder = rate.refinement_ladder(game.horizon)
+    prior = rate.prior
+    if ladder is None or prior is None or prior.support_size != game.n_decisions:
+        return None
+    return ladder
+
+
+def _least_penalised(comparators, seq, game: GameSpec, penalty) -> float:
+    """Least comparator loss plus ``penalty(f, outcome rows)`` over the
+    outcome sequence ``seq``."""
+    ys = game.outcomes[list(seq)]
+    cum = game.loss[:, list(seq)].sum(axis=1)
+    return min(float(np.dot(f, cum)) + penalty(f, ys) for f in comparators)
+
+
+def _leaf_value(game: GameSpec, rate, history, ladder) -> tuple:
+    """Terminal payoffs at a full history: the plain one, then, given a
+    ladder, the refined one that also admits each radius's KL-ball minimiser."""
+    best = _least_penalised(game.comparators, history, game, rate.evaluate)
+    if ladder is None:
+        return (-best,)
+    # comparator losses are linear in the weights, so the cumulative
+    # per-decision loss doubles as the tilt direction
     cum = game.loss[:, list(history)].sum(axis=1)
-    best = math.inf
-    for f in game.comparators:
-        penalty = rate.evaluate(f, outcome_seq)
-        best = min(best, float(np.dot(f, cum)) + penalty)
-    if refine:
-        ladder = rate.refinement_ladder(game.horizon)
-        prior = rate.prior
-        if ladder is not None and prior is not None and prior.support_size == game.n_decisions:
-            # comparator losses are linear in the weights, so the cumulative
-            # per-decision loss doubles as the tilt direction
-            for radius in ladder.radii:
-                f_star, _ = kl_ball_minimizer(prior, float(radius), cum)
-                penalty = rate.evaluate(f_star, outcome_seq)
-                best = min(best, float(np.dot(f_star.weights, cum)) + penalty)
-    return -best
+    tilted = [kl_ball_minimizer(rate.prior, float(radius), cum)[0].weights
+              for radius in ladder.radii]
+    return -best, -min(best, _least_penalised(tilted, history, game, rate.evaluate))
 
 
-def _induct(game: GameSpec, rate, history, cache: GameValueCache, refine: bool) -> float:
-    if history in cache.values:
-        return cache.values[history]
-    t = len(history)
-    if t == game.horizon:
-        val = _leaf_value(game, rate, history, refine)
-    else:
-        children = [_induct(game, rate, history + (y,), cache, refine)
-                    for y in range(game.n_outcomes)]
-        m = game.loss + np.asarray(children)[None, :]
-        val, q, _ = matrix_game_value(m)
-        payoffs = q.weights @ m
-        cache.best_response[history] = int(np.argmax(payoffs))
-    cache.values[history] = val
-    return val
+def _backward_induction(game: GameSpec, rate, ladder, budget: int):
+    """One walk of the history tree: the root values (plain, then refined
+    when a ladder is given), the adversary's worst path in the game of the
+    last value, and the number of histories visited. Each internal history
+    solves one matrix game per value it carries."""
+    required = game.n_outcomes ** game.horizon
+    if required > budget:
+        raise BudgetError(
+            f"game needs {required} terminal histories, budget is {budget}"
+        )
+    visits = 0
+
+    def induct(history):
+        nonlocal visits
+        visits += 1
+        if len(history) == game.horizon:
+            return _leaf_value(game, rate, history, ladder), ()
+        below = [induct(history + (y,)) for y in range(game.n_outcomes)]
+        values = []
+        for child in np.array([v for v, _ in below]).T:
+            m = game.loss + child[None, :]
+            val, q, _ = matrix_game_value(m)
+            values.append(val)
+        y = int(np.argmax(q.weights @ m))
+        return tuple(values), (y,) + below[y][1]
+
+    values, path = induct(())
+    return values, path, visits
 
 
 def offset_minimax_value(game: GameSpec, rate, refine: bool = False,
-                         budget: int = DEFAULT_BUDGET,
-                         cache: GameValueCache | None = None) -> float:
+                         budget: int = DEFAULT_BUDGET) -> float:
     """Root value of the rate-offset game by exact backward induction.
 
     Terminal payoff: cumulative algorithm loss minus the best comparator's
@@ -127,14 +136,9 @@ def offset_minimax_value(game: GameSpec, rate, refine: bool = False,
     carries a prior over the decisions). Nonpositive root value certifies
     the rate as achievable on this game.
     """
-    required = game.n_outcomes ** game.horizon
-    if required > budget:
-        raise BudgetError(
-            f"game needs {required} terminal histories, budget is {budget}"
-        )
-    if cache is None:
-        cache = GameValueCache(game.horizon)
-    return _induct(game, rate, (), cache, refine)
+    ladder = _refinement_ladder(game, rate) if refine else None
+    values, _, _ = _backward_induction(game, rate, ladder, budget)
+    return values[-1]
 
 
 @dataclass(frozen=True)
@@ -156,30 +160,17 @@ def achievability_check(game: GameSpec, rate, tol: float = 1e-7) -> Achievabilit
 
     When the rate supports KL-ball refinement the verdict is based on the
     refined (larger, hence conservative) root value; both values are
-    reported.
+    reported, from one walk of the history tree.
     """
-    cache = GameValueCache(game.horizon)
-    value = offset_minimax_value(game, rate, refine=False, cache=cache)
-    refined = None
-    if rate.prior is not None and rate.refinement_ladder(game.horizon) is not None \
-            and rate.prior.support_size == game.n_decisions:
-        refined_cache = GameValueCache(game.horizon)
-        refined = offset_minimax_value(game, rate, refine=True, cache=refined_cache)
-        cache = refined_cache
-    path = []
-    h = ()
-    while h in cache.best_response:
-        y = cache.best_response[h]
-        path.append(y)
-        h = h + (y,)
-    certified = value if refined is None else refined
+    ladder = _refinement_ladder(game, rate)
+    values, path, visits = _backward_induction(game, rate, ladder, DEFAULT_BUDGET)
     return AchievabilityReport(
-        value=value,
-        refined_value=refined,
-        achievable=certified <= tol,
+        value=values[0],
+        refined_value=None if ladder is None else values[1],
+        achievable=values[-1] <= tol,
         tol=tol,
-        worst_path=tuple(path),
-        node_count=cache.node_count,
+        worst_path=path,
+        node_count=visits,
     )
 
 
@@ -249,7 +240,8 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    initial = [(seq, value + _best_penalised(relaxation, game, seq)) for seq, value in terminals]
+    initial = [(seq, value + _least_penalised(game.comparators, seq, game, relaxation.rate))
+               for seq, value in terminals]
     all_margins = recursive + initial
     worst_prefix, worst_margin = min(all_margins, key=lambda kv: kv[1])
     return AdmissibilityReport(
@@ -284,13 +276,6 @@ def _advance(relaxation, game: GameSpec, seq):
     return state
 
 
-def _best_penalised(relaxation, game: GameSpec, seq) -> float:
-    """Least comparator loss plus rate penalty over the outcome sequence."""
-    ys = game.outcomes[list(seq)]
-    cum = game.loss[:, list(seq)].sum(axis=1)
-    return min(float(np.dot(f, cum)) + relaxation.rate(f, ys) for f in game.comparators)
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     algorithm_loss: float
@@ -311,7 +296,7 @@ def regret_certificate(relaxation, game: GameSpec, outcome_indices) -> Certifica
     for y in seq:
         losses.append(expected_loss(relaxation.strategy(state), y, game))
         state.update(game.outcomes[y])
-    best = _best_penalised(relaxation, game, seq)
+    best = _least_penalised(game.comparators, seq, game, relaxation.rate)
     lhs = sum(losses) - best
     return CertificateReport(
         algorithm_loss=float(sum(losses)),

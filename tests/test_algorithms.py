@@ -286,6 +286,25 @@ class TestFixedRadiusInequality:
         with pytest.raises(ValueError):
             fixed_radius_inequality_check(Distribution.uniform(2), 1.0, 2, np.full((2, 2), 1.5))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           radius=st.sampled_from([0.0, 0.1, 1.0, 4.0, 17.5]), zero_rows=st.integers(0, 5))
+    def test_margin_matches_prefix_replay(self, k, n, seed, radius, zero_rows):
+        gen = np.random.default_rng(seed)
+        w = gen.random(k) * (gen.random(k) < 0.8)
+        w[int(gen.integers(k))] += 0.5
+        prior = Distribution(w / w.sum())
+        ys = gen.random((n, k))
+        ys[:min(zero_rows, n)] = 0.0  # no loss yet: the strategy is the prior
+        report = fixed_radius_inequality_check(prior, radius, n, ys)
+        # the strategy of every round rebuilt from its whole prefix
+        algo = sum(float(np.dot(lowlevel_ew(prior, radius, n, ys[:t]).weights, ys[t]))
+                   for t in range(n))
+        _, best = kl_ball_minimizer(prior, radius, ys.sum(axis=0))
+        margin = -algo + 2.0 * math.sqrt(radius * n) + best
+        assert report.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+        assert report.violation == (margin < -1e-8)
+
 
 class TestTwoLevelRelaxationObject:
     def test_strategy_matches_predict(self):

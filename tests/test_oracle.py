@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regretlab.algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation
+from regretlab import oracle
+from regretlab.algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation, kl_ball_minimizer
 from regretlab.bounds import AdaptiveRate
 from regretlab.core import Distribution, GameSpec, RadiusLadder, RngSpec, expected_loss
 from regretlab.harness import simplex_grid
 from regretlab.oracle import (
+    LP_GAP_TOL,
     BudgetError,
     achievability_check,
     admissibility_check,
@@ -51,6 +55,54 @@ def _fresh_margins(relax, game):
     return tuple(recursive), tuple(initial)
 
 
+class _Counted:
+    """Replace ``oracle.<name>`` by a wrapper that counts its calls."""
+
+    def __init__(self, name):
+        self.name, self.calls = name, 0
+
+    def __enter__(self):
+        self.original = getattr(oracle, self.name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return self.original(*args, **kwargs)
+
+        setattr(oracle, self.name, counted)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(oracle, self.name, self.original)
+
+
+def _reference_tree(game, rate, refine):
+    """Root value, worst path and history count by a plain recursion over the
+    history tree, with leaf payoffs written out here."""
+    ladder = rate.refinement_ladder(game.horizon) if refine else None
+
+    def leaf(history):
+        ys = game.outcomes[list(history)]
+        cum = game.loss[:, list(history)].sum(axis=1)
+        losses = [float(np.dot(f, cum)) + rate.evaluate(f, ys) for f in game.comparators]
+        if ladder is not None:
+            for radius in ladder.radii:
+                f_star, _ = kl_ball_minimizer(rate.prior, float(radius), cum)
+                losses.append(float(np.dot(f_star.weights, cum)) + rate.evaluate(f_star, ys))
+        return -min(losses)
+
+    def value(history):
+        """(value, worst continuation, histories visited) below ``history``."""
+        if len(history) == game.horizon:
+            return leaf(history), (), 1
+        below = [value(history + (y,)) for y in range(game.n_outcomes)]
+        m = game.loss + np.array([v for v, _, _ in below])[None, :]
+        val, q, _ = matrix_game_value(m)
+        y = int(np.argmax(q.weights @ m))
+        return val, (y,) + below[y][1], 1 + sum(c for _, _, c in below)
+
+    return value(())
+
+
 class TestMatrixGameValue:
     def test_matching_pennies_vs_grid_oracle(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -81,6 +133,43 @@ class TestMatrixGameValue:
             value, row, col = matrix_game_value(m)
             assert float(np.max(row.weights @ m)) <= value + 1e-9
             assert float(np.min(m @ col.weights)) >= value - 1e-9
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           integer=st.booleans(), scale=st.sampled_from([1.0, 3.0, 50.0]))
+    def test_one_lp_and_a_checked_saddle(self, rows, cols, seed, integer, scale):
+        m = np.random.default_rng(seed).uniform(-scale, scale, (rows, cols))
+        if integer:  # ties and degenerate games
+            m = np.round(m / scale * 2.0)
+        with _Counted("linprog") as lp:
+            value, row, col = matrix_game_value(m)
+        assert lp.calls == 1
+        assert row.weights.shape == (rows,) and col.weights.shape == (cols,)
+        for w in (row.weights, col.weights):
+            assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        upper, lower = float(np.max(row.weights @ m)), float(np.min(m @ col.weights))
+        tol = LP_GAP_TOL * max(1.0, abs(value))
+        assert upper - lower <= tol
+        assert lower - tol <= value <= upper + tol
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda y: -np.eye(y.size)[0],        # all mass on the first column
+        lambda y: y[::-1],                   # columns reversed
+        lambda y: np.zeros_like(y),          # no dual at all
+    ], ids=["point-mass", "reversed", "zero"])
+    def test_corrupted_duals_raise(self, corrupt, monkeypatch):
+        # the column player's only optimal strategy is (1/3, 2/3)
+        m = np.array([[0.0, 2.0], [1.0, 0.0]])
+        real = oracle.linprog
+
+        def stub(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.ineqlin.marginals = corrupt(res.ineqlin.marginals)
+            return res
+
+        monkeypatch.setattr(oracle, "linprog", stub)
+        with np.errstate(invalid="ignore"), pytest.raises(AssertionError, match="saddle gap"):
+            matrix_game_value(m)
 
 
 class TestOffsetMinimaxValue:
@@ -164,6 +253,67 @@ class TestAchievabilityCheck:
         # refinement can only raise the root value toward the true one
         assert report.refined_value >= report.value - 1e-9
 
+
+_RATES = {
+    "kl-radius": lambda k: AdaptiveRate("kl_radius", prior=Distribution.uniform(k)),
+    "pac-bayes": lambda k: AdaptiveRate("pac_bayes", prior=Distribution.uniform(k)),
+    "fixed-vs-best": lambda k: AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=k),
+    "uniform-constant": lambda k: AdaptiveRate("uniform_constant", value=0.5),
+}
+_REFINES = ("kl-radius", "pac-bayes")
+
+_SMALL_GAMES = [
+    pytest.param(_binary_game(2), id="2x4-n2"),
+    pytest.param(_binary_game(3, [np.array(c) for c in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.65, 0.35])]),
+                 id="2x4-n3-mixed"),
+    pytest.param(GameSpec.experts_game(RngSpec(seed=16).generator().random((3, 3)), horizon=2),
+                 id="3x3-n2"),
+]
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("rate_name", list(_RATES))
+    @pytest.mark.parametrize("game", _SMALL_GAMES)
+    def test_report_matches_separate_solves_and_reference(self, rate_name, game):
+        rate = _RATES[rate_name](game.n_decisions)
+        report = achievability_check(game, rate)
+        plain = _reference_tree(game, rate, refine=False)
+        assert report.value == offset_minimax_value(game, rate, refine=False) == plain[0]
+        if rate_name in _REFINES:
+            refined = _reference_tree(game, rate, refine=True)
+            assert report.refined_value == offset_minimax_value(game, rate, refine=True) == refined[0]
+            certified = refined
+        else:
+            assert report.refined_value is None
+            assert offset_minimax_value(game, rate, refine=True) == report.value
+            certified = plain
+        assert report.worst_path == certified[1]
+        assert report.node_count == certified[2] == sum(
+            game.n_outcomes ** t for t in range(game.horizon + 1))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 3), m=st.integers(2, 3), n=st.integers(2, 3),
+           seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(_RATES)))
+    def test_random_games_match_reference(self, k, m, n, seed, rate_name):
+        gen = np.random.default_rng(seed)
+        comparators = [np.eye(k)[i] for i in range(k)] + list(gen.dirichlet(np.ones(k), 2))
+        game = GameSpec.experts_game(gen.integers(0, 3, (m, k)) / 2.0, horizon=n,
+                                     comparators=comparators)
+        rate = _RATES[rate_name](k)
+        report = achievability_check(game, rate)
+        want = _reference_tree(game, rate, refine=rate_name in _REFINES)
+        assert (report.certified_value, report.worst_path, report.node_count) == want
+        assert report.value == _reference_tree(game, rate, refine=False)[0]
+
+    @pytest.mark.parametrize("rate_name", list(_RATES))
+    def test_one_lp_per_game_per_internal_node(self, rate_name):
+        game = _binary_game(3)
+        rate = _RATES[rate_name](2)
+        with _Counted("linprog") as lp, _Counted("_leaf_value") as leaves:
+            achievability_check(game, rate)
+        internal = sum(4 ** t for t in range(3))
+        assert leaves.calls == 4 ** 3
+        assert lp.calls == internal * (2 if rate_name in _REFINES else 1)
 
 class TestAdmissibilityCheck:
     def test_two_level_exhaustive_passes(self):
