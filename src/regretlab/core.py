@@ -79,11 +79,17 @@ def normalize_log_weights(logw) -> Distribution:
     logw = _as_float_vector(logw, "logw")
     if np.any(np.isnan(logw)) or np.any(logw == np.inf):
         raise ValueError("log-weights must be finite or -inf")
-    m = float(np.max(logw))
-    if m == -np.inf:
+    if np.max(logw) == -np.inf:
         raise SupportError("empty support: all log-weights are -infinity")
-    w = np.exp(logw - m)
-    return Distribution(w / w.sum())
+    return Distribution(softmax_rows(logw[None, :])[0])
+
+
+def softmax_rows(logw: np.ndarray) -> np.ndarray:
+    """Max-shift softmax of every row of a 2-D log-weight array, unchecked:
+    each row needs a finite maximum. A row gives the same bits as
+    ``normalize_log_weights`` of that row."""
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def kl_divergence(f: Distribution, pi: Distribution) -> float:

@@ -9,6 +9,7 @@ strategy. Records serialise to byte-stable JSON and CSV.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,12 +97,20 @@ def generate_environment(name: str, params: dict, rng: RngSpec) -> np.ndarray:
 
 def simplex_grid(k: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> list:
     """Uniform weight-vector grid at the largest feasible resolution <= the
-    requested one, so the point count stays within budget."""
+    requested one, so the point count stays within budget.
+
+    Each (k, resolution, budget) is built once; its points are read-only
+    arrays shared by every call."""
+    return list(_simplex_points(k, resolution, budget))
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_points(k: int, resolution: int, budget: int) -> tuple:
     m = resolution
     while m > 1 and math.comb(m + k - 1, k - 1) > budget:
         m -= 1
     if math.comb(m + k - 1, k - 1) > budget:
-        return []
+        return ()
     points = []
     for cuts in combinations(range(m + k - 1), k - 1):
         prev = -1
@@ -110,8 +119,10 @@ def simplex_grid(k: int, resolution: int, budget: int = DEFAULT_GRID_BUDGET) -> 
             counts.append(c - prev - 1)
             prev = c
         counts.append(m + k - 2 - prev)
-        points.append(np.asarray(counts, dtype=float) / m)
-    return points
+        point = np.asarray(counts, dtype=float) / m
+        point.flags.writeable = False
+        points.append(point)
+    return tuple(points)
 
 
 @dataclass(frozen=True)

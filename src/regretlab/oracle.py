@@ -10,7 +10,6 @@ round-by-round and terminal inequalities it must satisfy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,26 +73,25 @@ def _refinement_ladder(game: GameSpec, rate):
     return ladder
 
 
-def _least_penalised(comparators, seq, game: GameSpec, penalty) -> float:
-    """Least comparator loss plus ``penalty(f, outcome rows)`` over the
-    outcome sequence ``seq``."""
-    ys = game.outcomes[list(seq)]
-    cum = game.loss[:, list(seq)].sum(axis=1)
-    return min(float(np.dot(f, cum)) + penalty(f, ys) for f in comparators)
+def _least_penalised(comparators, penalties, cum) -> float:
+    """Least comparator loss at the cumulative per-decision loss ``cum``,
+    each comparator paying its own penalty."""
+    return min(float(np.dot(f, cum)) + p for f, p in zip(comparators, penalties))
 
 
 def _leaf_value(game: GameSpec, rate, history, ladder) -> tuple:
     """Terminal payoffs at a full history: the plain one, then, given a
     ladder, the refined one that also admits each radius's KL-ball minimiser."""
-    best = _least_penalised(game.comparators, history, game, rate.evaluate)
+    ys = game.outcomes[list(history)]
+    cum = game.loss[:, list(history)].sum(axis=1)
+    best = _least_penalised(game.comparators, [rate.evaluate(f, ys) for f in game.comparators], cum)
     if ladder is None:
         return (-best,)
     # comparator losses are linear in the weights, so the cumulative
     # per-decision loss doubles as the tilt direction
-    cum = game.loss[:, list(history)].sum(axis=1)
     tilted = [kl_ball_minimizer(rate.prior, float(radius), cum)[0].weights
               for radius in ladder.radii]
-    return -best, -min(best, _least_penalised(tilted, history, game, rate.evaluate))
+    return -best, -min(best, _least_penalised(tilted, [rate.evaluate(f, ys) for f in tilted], cum))
 
 
 def _backward_induction(game: GameSpec, rate, ladder, budget: int):
@@ -203,28 +201,27 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
     comparator loss. The check passes when every margin clears -tol.
 
     ``relaxation`` gives the empty-prefix state by ``start()``, reads a
-    state by ``value`` and ``strategy``, and penalises a comparator by
-    ``rate(f, outcomes)``; its states advance by ``update`` and fork by
-    ``copy``. Exhaustive mode walks the history tree level by level in
-    lexicographic order, computing each node's potential once.
+    batch of states by ``values``, a state's play by ``strategy``, and
+    penalises a comparator by ``rate(f)``; its states advance by
+    ``update`` and fork by ``copy``. Exhaustive mode walks the history tree
+    level by level in lexicographic order with one ``values`` call per
+    level; sampled mode reads all its prefixes, their children and its
+    sequences in three calls.
     """
     n, m = game.horizon, game.n_outcomes
-    recursive = []
     if mode == "exhaustive":
         if m ** n > 10 ** 5:
             raise BudgetError(f"exhaustive mode needs |outcomes|^n <= 1e5, got {m ** n}")
-        root = relaxation.start()
-        level = [((), root, relaxation.value(root))]
-        for t in range(n):
-            children = []
-            for prefix, state, here in level:
-                margin, nodes = _one_step(relaxation, game, state, here)
-                recursive.append((prefix, margin))
-                # a leaf keeps only its potential, so the widest level holds no states
-                children += [(prefix + (y,), child if t < n - 1 else None, value)
-                             for y, (child, value) in enumerate(nodes)]
-            level = children
-        terminals = [(seq, value) for seq, _, value in level]
+        prefixes, states = [()], [relaxation.start()]
+        here = relaxation.values(states).tolist()
+        recursive = []
+        for _ in range(n):
+            children = [_child(state, game.outcomes[y]) for state in states for y in range(m)]
+            below = relaxation.values(children).tolist()
+            recursive += _recursive_margins(relaxation, game, prefixes, states, here, below)
+            prefixes = [prefix + (y,) for prefix in prefixes for y in range(m)]
+            states, here = children, below
+        terminals = list(zip(prefixes, here))
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an RngSpec")
@@ -232,16 +229,18 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
         prefixes = [tuple(gen.integers(0, m, size=int(gen.integers(0, n))))
                     for _ in range(sample_count)]
         sequences = [tuple(gen.integers(0, m, size=n)) for _ in range(sample_count)]
-        for prefix in prefixes:
-            state = _advance(relaxation, game, prefix)
-            margin, _ = _one_step(relaxation, game, state, relaxation.value(state))
-            recursive.append((prefix, margin))
-        terminals = [(seq, relaxation.value(_advance(relaxation, game, seq))) for seq in sequences]
+        states = [_advance(relaxation, game, prefix) for prefix in prefixes]
+        here = relaxation.values(states).tolist()
+        children = [_child(state, game.outcomes[y]) for state in states for y in range(m)]
+        below = relaxation.values(children).tolist()
+        recursive = _recursive_margins(relaxation, game, prefixes, states, here, below)
+        ends = relaxation.values([_advance(relaxation, game, seq) for seq in sequences])
+        terminals = list(zip(sequences, ends.tolist()))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    initial = [(seq, value + _least_penalised(game.comparators, seq, game, relaxation.rate))
-               for seq, value in terminals]
+    best = _penalised_minima(relaxation, game, [seq for seq, _ in terminals])
+    initial = [(seq, value + b) for (seq, value), b in zip(terminals, best)]
     all_margins = recursive + initial
     worst_prefix, worst_margin = min(all_margins, key=lambda kv: kv[1])
     return AdmissibilityReport(
@@ -254,19 +253,23 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
     )
 
 
-def _one_step(relaxation, game: GameSpec, state, here: float):
-    """Recursive margin at a state whose potential is ``here``, and each
-    outcome's (child state, child potential) in outcome order."""
-    q = relaxation.strategy(state)
-    worst = -math.inf
-    children = []
-    for y in range(game.n_outcomes):
-        child = state.copy()
-        child.update(game.outcomes[y])
-        cont = relaxation.value(child)
-        worst = max(worst, expected_loss(q, y, game) + cont)
-        children.append((child, cont))
-    return here - worst, children
+def _recursive_margins(relaxation, game: GameSpec, prefixes, states, here, below) -> list:
+    """(prefix, margin) at every state, given the states' potentials
+    ``here`` and their children's potentials ``below``, outcome-major per
+    state."""
+    m = game.n_outcomes
+    margins = []
+    for j, (prefix, state) in enumerate(zip(prefixes, states)):
+        q = relaxation.strategy(state)
+        worst = max(expected_loss(q, y, game) + below[j * m + y] for y in range(m))
+        margins.append((prefix, here[j] - worst))
+    return margins
+
+
+def _child(state, outcome):
+    child = state.copy()
+    child.update(outcome)
+    return child
 
 
 def _advance(relaxation, game: GameSpec, seq):
@@ -274,6 +277,15 @@ def _advance(relaxation, game: GameSpec, seq):
     for y in seq:
         state.update(game.outcomes[y])
     return state
+
+
+def _penalised_minima(relaxation, game: GameSpec, sequences) -> list:
+    """``_least_penalised`` over every outcome sequence under the
+    relaxation's rate. The rate depends on the comparator alone, so each
+    comparator is penalised once for all the sequences."""
+    penalties = [relaxation.rate(f) for f in game.comparators]
+    return [_least_penalised(game.comparators, penalties, game.loss[:, list(seq)].sum(axis=1))
+            for seq in sequences]
 
 
 @dataclass(frozen=True)
@@ -296,7 +308,7 @@ def regret_certificate(relaxation, game: GameSpec, outcome_indices) -> Certifica
     for y in seq:
         losses.append(expected_loss(relaxation.strategy(state), y, game))
         state.update(game.outcomes[y])
-    best = _least_penalised(game.comparators, seq, game, relaxation.rate)
+    best = _penalised_minima(relaxation, game, [seq])[0]
     lhs = sum(losses) - best
     return CertificateReport(
         algorithm_loss=float(sum(losses)),

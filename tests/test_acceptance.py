@@ -273,3 +273,20 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     elapsed = time.time() - start
     _report(10, "end-to-end-determinism", identical, elapsed,
             "5 result files byte-identical across reruns")
+
+
+def test_criterion_11_exhaustive_admissibility_at_n6():
+    # worst margin and prefix of the scalar walk that the batched walk replaced
+    worst_margin, worst_prefix = 0.6769161248470486, ()
+    start = time.time()
+    game = GameSpec.experts_game(BINARY_COLUMNS, horizon=6)
+    relax = TwoLevelRelaxation(Distribution.uniform(2), 6, lambda_mode=LAMBDA_OPTIMIZED)
+    report = admissibility_check(relax, game, mode="exhaustive")
+    elapsed = time.time() - start
+    ok = (report.verdict
+          and len(report.recursive_margins) == sum(4 ** t for t in range(6)) == 1365
+          and len(report.initial_margins) == 4 ** 6
+          and report.worst_prefix == worst_prefix
+          and abs(report.worst_margin - worst_margin) <= 1e-12)
+    _report(11, "exhaustive-admissibility-n6", ok and elapsed < 10.0, elapsed,
+            f"worst margin = {report.worst_margin:.6f} at {report.worst_prefix}")

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from regretlab import algorithms
 from regretlab.algorithms import (
+    GOLDEN_RATIO,
+    LAMBDA_BRACKET,
     LAMBDA_FIXED,
     LAMBDA_OPTIMIZED,
     TwoLevelRelaxation,
@@ -16,6 +21,7 @@ from regretlab.algorithms import (
     lowlevel_ew,
     relaxation_lambda,
     relaxation_value,
+    relaxation_values,
     twolevel_predict,
 )
 from regretlab.core import Distribution, GameSpec, RadiusLadder, RngSpec, kl_divergence
@@ -100,6 +106,110 @@ class TestHighLevelWeights:
             assert report.verdict, (mode, report.worst_margin)
 
 
+@st.composite
+def _lse_batch(draw):
+    """A (rows, length) batch: magnitudes 1e-3 to 1e3 of either sign, and
+    some entries of each row forced onto its maximum."""
+    length = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = np.array([draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+                        for _ in range(length)])
+        tied = draw(st.permutations(range(length)))[:draw(st.integers(0, length - 1))]
+        row[list(tied)] = row.max()
+        rows.append(row)
+    return np.array(rows)
+
+
+def _scipy_release() -> tuple:
+    return tuple(int(part) for part in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(_scipy_release() < (1, 17),
+                    reason="the copy follows the log-sum-exp algorithm of scipy 1.17; "
+                           "earlier releases sum differently")
+class TestLogSumExpRows:
+    @settings(max_examples=400)
+    @given(_lse_batch())
+    def test_every_row_equals_scipy(self, batch):
+        got = algorithms._logsumexp_rows(batch)
+        for row, value in zip(batch, got):
+            assert value == logsumexp(row)
+            assert algorithms._logsumexp_rows(row[None, :])[0] == value
+
+    def test_one_entry_and_all_tied(self):
+        for row in ([0.37], [-812.5], [5.0, 5.0, 5.0]):
+            a = np.array([row])
+            assert algorithms._logsumexp_rows(a)[0] == logsumexp(a[0])
+
+
+def _golden_reference(exponents, remaining, horizon, tol):
+    """The scalar golden-section search over one exponent row, with scipy's
+    log-sum-exp: ((value, log-scale), iterations, ties at the final pick,
+    final bracket width)."""
+    def fn(x):
+        lam = math.exp(x)
+        return float(logsumexp(-lam * exponents) / lam + 2.0 * lam * remaining)
+
+    root = math.sqrt(horizon)
+    lo, hi = math.log(LAMBDA_BRACKET[0] / root), math.log(LAMBDA_BRACKET[1] / root)
+    a, b = lo, hi
+    c, d = b - GOLDEN_RATIO * (b - a), a + GOLDEN_RATIO * (b - a)
+    fc, fd = fn(c), fn(d)
+    iterations = 0
+    while b - a > tol:
+        iterations += 1
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN_RATIO * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN_RATIO * (b - a)
+            fd = fn(d)
+    picks = [(fn(lo), lo), (fc, c), (fd, d), (fn(hi), hi)]
+    best = min(picks)
+    return best, iterations, sum(v == best[0] for v, _ in picks) - 1, b - a
+
+
+def _exponent_batch(gen, rows, i_max, horizon):
+    rounds = gen.integers(0, horizon + 1, size=rows)
+    exponents = gen.random((rows, i_max)) * rounds[:, None] + np.sqrt(horizon * 2.0 ** np.arange(i_max))
+    return exponents, (horizon - rounds).astype(float)
+
+
+class TestScaleSearch:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 8), i_max=st.integers(1, 6),
+           horizon=st.integers(1, 16))
+    def test_every_row_matches_its_own_search(self, seed, rows, i_max, horizon):
+        exponents, remaining = _exponent_batch(np.random.default_rng(seed), rows, i_max, horizon)
+        values, logs = algorithms._scale_search(exponents, remaining, horizon)
+        for j in range(rows):
+            alone = algorithms._scale_search(exponents[j:j + 1], remaining[j:j + 1], horizon)
+            assert (values[j], logs[j]) == (alone[0][0], alone[1][0])
+            want = _golden_reference(exponents[j], remaining[j], horizon, algorithms.GOLDEN_TOL)[0]
+            assert (values[j], logs[j]) == want
+
+    def test_rows_that_stop_apart_and_tie_at_the_pick(self, monkeypatch):
+        gen = np.random.default_rng(17)
+        horizon = 4
+        exponents, remaining = _exponent_batch(gen, 40, 3, horizon)
+        # the rows' brackets shrink below 1e-5 together, but their widths
+        # differ in the last bits: a tolerance at the least of them stops
+        # those rows one iteration before the others
+        tol = min(_golden_reference(e, r, horizon, 1e-5)[3] for e, r in zip(exponents, remaining))
+        monkeypatch.setattr(algorithms, "GOLDEN_TOL", tol)
+        values, logs = algorithms._scale_search(exponents, remaining, horizon)
+        iterations, ties = set(), 0
+        for j, (e, r) in enumerate(zip(exponents, remaining)):
+            want, count, tied, _ = _golden_reference(e, r, horizon, tol)
+            assert (values[j], logs[j]) == want
+            iterations.add(count)
+            ties += tied > 0
+        assert len(iterations) > 1 and ties > 0
+
+
 class TestTwoLevelPredict:
     def test_first_round_is_prior(self):
         state = TwoLevelState(Distribution.uniform(2), RadiusLadder(3), 8, LAMBDA_FIXED)
@@ -141,7 +251,7 @@ class TestTwoLevelPredict:
 
 
 class TestStateFork:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 10),
            st.sampled_from([LAMBDA_FIXED, LAMBDA_OPTIMIZED]), st.data())
     def test_advancing_a_copy_leaves_the_original(self, seed, k, n, mode, data):
@@ -191,6 +301,38 @@ class TestRelaxationValue:
         lam = relaxation_lambda(state)
         root = math.sqrt(state.horizon)
         assert 1e-6 / root <= lam <= 1e3 / root
+
+
+class TestRelaxationValues:
+    @pytest.mark.parametrize("mode", [LAMBDA_FIXED, LAMBDA_OPTIMIZED])
+    def test_batch_matches_one_state_at_a_time(self, mode):
+        gen = RngSpec(seed=35).generator()
+        ys = (gen.random((9, 3)) < 0.5).astype(float)
+        states = [_played(ys[:t], 9, 4, mode) for t in range(10)]
+        # repeated and coinciding states in one batch
+        batch = states + [states[3].copy(), _played(ys[:3], 9, 4, mode), states[0]]
+        values = relaxation_values(batch)
+        lambdas = [relaxation_lambda(state) for state in batch]
+        for state, value, lam in zip(batch, values, lambdas):
+            fresh = _played(ys[:state.t], 9, 4, mode)
+            assert value == relaxation_value(fresh)
+            assert lam == relaxation_lambda(fresh)
+
+    def test_update_drops_the_found_scale(self):
+        ys = RngSpec(seed=36).generator().random((4, 2))
+        state = _played(ys[:2], 8, 3, LAMBDA_OPTIMIZED)
+        relaxation_values([state])
+        state.update(ys[2])
+        assert state.scale is None
+        assert relaxation_lambda(state) == relaxation_lambda(_played(ys[:3], 8, 3, LAMBDA_OPTIMIZED))
+
+    def test_mixed_batches_fail_loudly(self):
+        a = _played(np.zeros((1, 2)), 8, 3, LAMBDA_OPTIMIZED)
+        with pytest.raises(ValueError):
+            relaxation_values([a, _played(np.zeros((1, 2)), 8, 3, LAMBDA_FIXED)])
+        with pytest.raises(ValueError):
+            relaxation_values([a, _played(np.zeros((1, 2)), 9, 3, LAMBDA_OPTIMIZED)])
+        assert relaxation_values([]).shape == (0,)
 
 
 class TestKlBallMinimizer:
@@ -286,7 +428,7 @@ class TestFixedRadiusInequality:
         with pytest.raises(ValueError):
             fixed_radius_inequality_check(Distribution.uniform(2), 1.0, 2, np.full((2, 2), 1.5))
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(k=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
            radius=st.sampled_from([0.0, 0.1, 1.0, 4.0, 17.5]), zero_rows=st.integers(0, 5))
     def test_margin_matches_prefix_replay(self, k, n, seed, radius, zero_rows):

@@ -389,7 +389,7 @@ def _rates(prior, fstar):
 
 
 class TestEvaluateMany:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(_batch_case())
     def test_matches_scalar_evaluate(self, case):
         prior, rows, losses, fstar = case

@@ -14,6 +14,7 @@ from regretlab.core import (
     kl_divergence,
     normalize_log_weights,
     path_node_indices,
+    softmax_rows,
     path_signs,
     tree_get,
 )
@@ -43,6 +44,18 @@ class TestNormalizeLogWeights:
             base = normalize_log_weights(logw).weights
             shifted = normalize_log_weights(logw + c).weights
             np.testing.assert_allclose(shifted, base, atol=1e-12)
+
+    def test_rows_match_one_vector_at_a_time(self):
+        gen = np.random.default_rng(3)
+        for k in (1, 2, 7, 8, 9, 40):
+            logw = gen.normal(size=(6, k)) * 50.0
+            logw[gen.random((6, k)) < 0.2] = -math.inf
+            logw[:, 0] = 1.0
+            rows = softmax_rows(logw)
+            for row, got in zip(logw, rows):
+                w = np.exp(row - np.max(row))
+                assert np.array_equal(got, w / w.sum())
+                assert np.array_equal(normalize_log_weights(row).weights, got)
 
     def test_empty_support_error(self):
         with pytest.raises(SupportError, match="empty support"):

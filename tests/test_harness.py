@@ -102,6 +102,19 @@ class TestSimplexGrid:
         pts = simplex_grid(16, 16, budget=5000)
         assert 0 < len(pts) <= 5000
 
+    def test_built_once_and_read_only(self):
+        first, again = simplex_grid(3, 5), simplex_grid(3, 5)
+        assert first is not again
+        assert all(a is b for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[0][0] = 0.5
+        again.append(np.ones(3) / 3)
+        assert len(simplex_grid(3, 5)) == math.comb(7, 2)
+        # the grid in lexicographic order of its cut points
+        assert [p.tolist() for p in simplex_grid(3, 2)] == [
+            [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
+
 
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):

@@ -49,8 +49,7 @@ def _fresh_margins(relax, game):
     initial = []
     for seq in itertools.product(range(m), repeat=n):
         cum = game.loss[:, list(seq)].sum(axis=1)
-        ys = game.outcomes[list(seq)]
-        best = min(float(np.dot(f, cum)) + relax.rate(f, ys) for f in game.comparators)
+        best = min(float(np.dot(f, cum)) + relax.rate(f) for f in game.comparators)
         initial.append((seq, relax.value(_fresh_state(relax, game, seq)) + best))
     return tuple(recursive), tuple(initial)
 
@@ -134,7 +133,7 @@ class TestMatrixGameValue:
             assert float(np.max(row.weights @ m)) <= value + 1e-9
             assert float(np.min(m @ col.weights)) >= value - 1e-9
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            integer=st.booleans(), scale=st.sampled_from([1.0, 3.0, 50.0]))
     def test_one_lp_and_a_checked_saddle(self, rows, cols, seed, integer, scale):
@@ -291,7 +290,7 @@ class TestOneWalk:
         assert report.node_count == certified[2] == sum(
             game.n_outcomes ** t for t in range(game.horizon + 1))
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(k=st.integers(2, 3), m=st.integers(2, 3), n=st.integers(2, 3),
            seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(_RATES)))
     def test_random_games_match_reference(self, k, m, n, seed, rate_name):
@@ -330,11 +329,12 @@ class TestAdmissibilityCheck:
 
         class Corrupt(TwoLevelRelaxation):
             # only the prefix (3, 3), two rounds of (1, 1), reaches losses (2, 2)
-            def value(self, state):
-                v = super().value(state)
-                if state.t == 2 and np.array_equal(state.cumulative_losses, [2.0, 2.0]):
-                    v -= 2.0
-                return v
+            def values(self, states):
+                vs = super().values(states)
+                for j, state in enumerate(states):
+                    if state.t == 2 and np.array_equal(state.cumulative_losses, [2.0, 2.0]):
+                        vs[j] -= 2.0
+                return vs
 
         relax = Corrupt(Distribution.uniform(2), 4, RadiusLadder(3), LAMBDA_FIXED)
         report = admissibility_check(relax, game, mode="exhaustive")
@@ -363,6 +363,27 @@ class TestAdmissibilityCheck:
         recursive, initial = _fresh_margins(relax, game)
         assert report.recursive_margins == recursive
         assert report.initial_margins == initial
+
+    def test_each_comparator_is_penalised_once(self):
+        gen = np.random.default_rng(41)
+        # with four experts a comparator more than one nat from uniform
+        # pays more than the rest
+        comparators = [np.eye(4)[0], np.eye(4)[2], [0.97, 0.01, 0.01, 0.01]]
+        comparators += [w / w.sum() for w in gen.random((3, 4))]
+        game = GameSpec.experts_game(gen.random((3, 4)), horizon=3, comparators=comparators)
+        penalised = []
+
+        class Counted(TwoLevelRelaxation):
+            def rate(self, comparator):
+                penalised.append(comparator)
+                return super().rate(comparator)
+
+        relax = Counted(Distribution.uniform(4), 3, RadiusLadder(3))
+        assert len({relax.rate(f) for f in game.comparators}) > 2
+        penalised.clear()
+        report = admissibility_check(relax, game, mode="exhaustive")
+        assert len(penalised) == len(game.comparators)
+        assert report.initial_margins == _fresh_margins(relax, game)[1]
 
     def test_exhaustive_budget(self):
         game = _binary_game(horizon=10)
