@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from regretlab import AdaptiveRate, Distribution, GameSpec
-from regretlab.oracle import achievability_check, offset_minimax_value
+from regretlab.oracle import achievability_check
 
 binary_columns = [list(v) for v in itertools.product([0.0, 1.0], repeat=2)]
 
@@ -40,5 +40,5 @@ print(f"  achievable: {report.achievable}")
 print("\nthe smallest achievable constant rate is the plain minimax value:")
 game1 = GameSpec.experts_game([[1.0, 0.0], [0.0, 1.0]], horizon=1)
 for c in (0.0, 0.25, 0.5, 0.75):
-    value = offset_minimax_value(game1, AdaptiveRate("uniform_constant", value=c))
+    value = achievability_check(game1, AdaptiveRate("uniform_constant", value=c)).value
     print(f"  constant {c:4.2f} -> root value {value:+.4f}")

@@ -63,7 +63,6 @@ from .oracle import (  # noqa: E402
     achievability_check,
     admissibility_check,
     matrix_game_value,
-    offset_minimax_value,
     regret_certificate,
 )
 from .harness import (  # noqa: E402

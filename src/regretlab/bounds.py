@@ -1,10 +1,10 @@
 """Catalog of adaptive regret-rate formulas as pure evaluators.
 
 Each rate maps (comparator, outcome sequence) to a nonnegative penalty. The
-formulas are exact closed forms in natural logarithms; the only iterative
-piece is the power-iteration spectral norm. ``AdaptiveRate`` wraps the
-evaluators behind one comparator-facing interface used by the achievability
-oracle and the audit harness.
+formulas are exact closed forms in natural logarithms. ``AdaptiveRate`` is
+the registry of the four game rates, which price weight-vector comparators
+for the achievability oracle and the audit harness; callers of the other
+closed forms call them directly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import FunctionTable, covering_number, dudley_integral
-from .core import Distribution, RadiusLadder, kl_divergence, kl_divergence_rows, validate_weights
+from .core import Distribution, kl_divergence, kl_divergence_rows, validate_weights
 
 PREDICTABLE_K1 = 4.0 * math.sqrt(2.0)
 PREDICTABLE_K2 = 24.0 * math.sqrt(2.0)
@@ -25,16 +25,17 @@ PREDICTABLE_K2 = 24.0 * math.sqrt(2.0)
 GENERIC_RADIUS_K1 = 64.0
 GENERIC_RADIUS_K2 = 16.0
 
-RATE_KINDS = (
-    "spectral",
-    "predictable",
-    "fixed_vs_best",
-    "pac_bayes",
-    "kl_radius",
-    "norm_adaptive",
-    "generic_radius",
-    "uniform_constant",
-)
+RATE_KINDS = ("kl_radius", "pac_bayes", "fixed_vs_best", "uniform_constant")
+
+# ``lab`` names each kind with hyphens for underscores.
+RATE_NAMES = tuple(kind.replace("_", "-") for kind in RATE_KINDS)
+
+
+def rate_kind(name: str) -> str:
+    """The kind of the rate ``lab`` calls ``name``."""
+    if name not in RATE_NAMES:
+        raise ValueError(f"unknown rate {name!r}; registry: {RATE_NAMES}")
+    return name.replace("-", "_")
 
 
 @dataclass(frozen=True)
@@ -232,13 +233,11 @@ def generic_radius_rate(
 
 
 class AdaptiveRate:
-    """One comparator-facing evaluator per cataloged rate kind.
+    """One comparator-facing evaluator per game rate kind.
 
-    ``evaluate(comparator, outcomes)`` returns the penalty granted to that
-    comparator on that outcome sequence. The comparator convention depends
-    on the kind: weight vectors for the prior-relative and expert rates,
-    a scalar norm or radius for the norm/radius rates, a value sequence for
-    the predictable rate, and ignored entirely for the data-only rates.
+    ``evaluate(comparator, outcomes)`` returns the penalty granted to a
+    weight-vector comparator on an outcome sequence. Every kind depends on
+    the outcomes only through their multiset.
     """
 
     def __init__(self, kind: str, **params):
@@ -248,44 +247,33 @@ class AdaptiveRate:
         self.params = params
         self._validate()
 
+    @classmethod
+    def named(cls, name: str, experts: int, value: float = 0.0) -> "AdaptiveRate":
+        """The rate ``lab`` calls ``name`` on a game of ``experts`` decisions;
+        ``value`` is the uniform-constant rate's constant."""
+        kind = rate_kind(name)
+        if kind == "uniform_constant":
+            return cls(kind, value=value)
+        if kind == "fixed_vs_best":
+            return cls(kind, fstar_index=0, class_size=max(experts, 2))
+        return cls(kind, prior=Distribution.uniform(experts))
+
     def _validate(self):
         p = self.params
         if self.kind == "uniform_constant":
             if p.get("value", 0.0) < 0.0:
                 raise ValueError("uniform constant must be nonnegative")
-        elif self.kind in ("kl_radius", "pac_bayes"):
-            if not isinstance(p.get("prior"), Distribution):
-                raise ValueError(f"{self.kind} rate needs a prior Distribution")
         elif self.kind == "fixed_vs_best":
             if p.get("class_size", 0) < 2:
                 raise ValueError("fixed_vs_best needs class_size >= 2")
             if "fstar_index" not in p:
                 raise ValueError("fixed_vs_best needs fstar_index")
-        elif self.kind == "spectral":
-            if p.get("dimension", 0) < 1:
-                raise ValueError("spectral rate needs dimension >= 1")
-        elif self.kind == "norm_adaptive":
-            if p.get("smoothness", 0.0) <= 0.0:
-                raise ValueError("norm_adaptive needs smoothness > 0")
-        elif self.kind == "generic_radius":
-            if "rad_table" not in p:
-                raise ValueError("generic_radius needs rad_table")
-        elif self.kind == "predictable":
-            if not isinstance(p.get("profile"), CoveringProfile):
-                raise ValueError("predictable rate needs a CoveringProfile")
-            if "centers" not in p:
-                raise ValueError("predictable rate needs a center sequence")
+        elif not isinstance(p.get("prior"), Distribution):
+            raise ValueError(f"{self.kind} rate needs a prior Distribution")
 
     @property
     def prior(self) -> Distribution | None:
         return self.params.get("prior")
-
-    def refinement_ladder(self, n: int) -> RadiusLadder | None:
-        """Radius ladder to probe with KL-ball minimizers, when applicable."""
-        prior = self.prior
-        if prior is None:
-            return None
-        return RadiusLadder.for_game(n, prior.support_size)
 
     def evaluate(self, comparator, outcomes) -> float:
         kind = self.kind
@@ -296,39 +284,13 @@ class AdaptiveRate:
             return kl_radius_rate(_as_distribution(comparator), p["prior"], len(outcomes))
         if kind == "pac_bayes":
             return pacbayes_rate(_as_distribution(comparator), p["prior"], outcomes)
-        if kind == "fixed_vs_best":
-            ys = np.atleast_2d(np.asarray(outcomes, dtype=float))
-            f = np.asarray(comparator, dtype=float)
-            if f.ndim != 1 or f.size != ys.shape[1]:
-                raise ValueError("fixed_vs_best comparator must be a weight vector")
-            f_vals = ys @ f
-            fstar_vals = ys[:, int(p["fstar_index"])]
-            return fixed_vs_best_rate(f_vals, fstar_vals, int(p["class_size"]))
-        if kind == "spectral":
-            return spectral_rate(outcomes, int(p["dimension"]))
-        if kind == "norm_adaptive":
-            norm = float(comparator) if np.isscalar(comparator) else float(
-                np.linalg.norm(np.asarray(comparator, dtype=float))
-            )
-            return norm_adaptive_rate(norm, float(p["smoothness"]), len(outcomes))
-        if kind == "generic_radius":
-            return generic_radius_rate(
-                float(comparator),
-                p["rad_table"],
-                k1=float(p.get("k1", GENERIC_RADIUS_K1)),
-                k2=float(p.get("k2", GENERIC_RADIUS_K2)),
-                gamma=float(p.get("gamma", 1.0)),
-                n=len(outcomes),
-            )
-        if kind == "predictable":
-            f_vals = np.asarray(comparator, dtype=float)
-            n = len(p["centers"])
-            if f_vals.ndim != 1 or f_vals.size != n:
-                raise ValueError(
-                    "predictable rate needs a comparator value sequence matching its centers"
-                )
-            return predictable_rate(f_vals, p["centers"], p["profile"], n)
-        raise AssertionError(kind)
+        ys = np.atleast_2d(np.asarray(outcomes, dtype=float))
+        f = np.asarray(comparator, dtype=float)
+        if f.ndim != 1 or f.size != ys.shape[1]:
+            raise ValueError("fixed_vs_best comparator must be a weight vector")
+        f_vals = ys @ f
+        fstar_vals = ys[:, int(p["fstar_index"])]
+        return fixed_vs_best_rate(f_vals, fstar_vals, int(p["class_size"]))
 
     def evaluate_many(self, comparators, outcomes) -> np.ndarray:
         """``evaluate`` for every row of a comparator matrix, as one array.
@@ -337,12 +299,12 @@ class AdaptiveRate:
         rows at once from one statistic per row: the KL to the prior, the
         second moment, the squared distance to the reference expert. Their
         rows are weight vectors, checked as ``Distribution`` checks one for
-        the prior-relative kinds. Other kinds call ``evaluate`` per row.
+        the prior-relative kinds.
         """
         kind = self.kind
         p = self.params
-        if kind not in ("kl_radius", "pac_bayes", "fixed_vs_best"):
-            return np.array([self.evaluate(c, outcomes) for c in comparators], dtype=float)
+        if kind == "uniform_constant":
+            return np.full(len(comparators), float(p.get("value", 0.0)))
         w = np.asarray(comparators, dtype=float)
         if w.ndim != 2:
             raise ValueError(f"{kind} comparators must be a matrix of weight vectors")

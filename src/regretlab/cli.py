@@ -15,10 +15,10 @@ import numpy as np
 
 from . import __version__
 from .algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation
+from .bounds import RATE_NAMES, AdaptiveRate
 from .complexity import FunctionTable, OffsetForm, offset_expectation
 from .core import BinaryTree, Distribution, RadiusLadder, RngSpec
 from .harness import (
-    RATE_BUILDERS,
     ExperimentConfig,
     emit_results,
     load_game,
@@ -99,9 +99,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     game = load_game(args.game)
-    if args.rate not in RATE_BUILDERS:
-        raise ValueError(f"unknown oracle rate {args.rate!r}")
-    rate = RATE_BUILDERS[args.rate](game.n_decisions, args.rate_value)
+    rate = AdaptiveRate.named(args.rate, game.n_decisions, args.rate_value)
     report = achievability_check(game, rate, tol=args.tol)
     _write_report(args.report, {
         "command": "oracle", "version": __version__,
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="achievability of a rate on a game file")
     p_oracle.add_argument("--game", required=True)
-    p_oracle.add_argument("--rate", required=True)
+    p_oracle.add_argument("--rate", required=True, help="one of " + ", ".join(RATE_NAMES))
     p_oracle.add_argument("--rate-value", type=float, default=0.0,
                           help="constant for the uniform-constant rate")
     p_oracle.add_argument("--tol", type=float, default=1e-7)

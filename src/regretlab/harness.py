@@ -25,7 +25,7 @@ from .algorithms import (
     TwoLevelRelaxation,
     kl_ball_minimizer,
 )
-from .bounds import AdaptiveRate
+from .bounds import AdaptiveRate, rate_kind
 from .core import Distribution, GameSpec, RadiusLadder, RngSpec
 
 ENVIRONMENTS = (
@@ -145,6 +145,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.experts < 1:
+            raise ValueError("experts must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.environment not in ENVIRONMENTS:
@@ -152,8 +154,7 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; registry: {tuple(STRATEGIES)}")
         for r in self.rates:
-            if r not in RATE_BUILDERS:
-                raise ValueError(f"unknown rate {r!r}; registry: {tuple(RATE_BUILDERS)}")
+            rate_kind(r)                        # rejects a name outside the registry
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -221,31 +222,6 @@ def _build_two_level(config: ExperimentConfig):
 STRATEGIES = {"two-level-ew": _build_two_level}
 
 
-def _kl_radius_rate(experts, value=0.0):
-    return AdaptiveRate("kl_radius", prior=Distribution.uniform(experts))
-
-
-def _pac_bayes_rate(experts, value=0.0):
-    return AdaptiveRate("pac_bayes", prior=Distribution.uniform(experts))
-
-
-def _fixed_vs_best_rate(experts, value=0.0):
-    return AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=max(experts, 2))
-
-
-def _uniform_rate(experts, value=0.0):
-    return AdaptiveRate("uniform_constant", value=value)
-
-
-# name -> builder(experts, value); value is the uniform-constant rate's constant.
-RATE_BUILDERS = {
-    "kl-radius": _kl_radius_rate,
-    "pac-bayes": _pac_bayes_rate,
-    "fixed-vs-best": _fixed_vs_best_rate,
-    "uniform-constant": _uniform_rate,
-}
-
-
 @dataclass
 class AuditRecord:
     """One replicate's play-out plus its per-comparator audit rows.
@@ -301,7 +277,7 @@ def audit_grid(prior: Distribution, resolution: int, budget: int,
 def run_experiment(config: ExperimentConfig) -> list:
     """Play every replicate and audit every requested rate on the grid."""
     relaxation = STRATEGIES[config.strategy](config)
-    rates = {name: RATE_BUILDERS[name](config.experts) for name in config.rates}
+    rates = {name: AdaptiveRate.named(name, config.experts) for name in config.rates}
     records = []
     for rep in range(config.replicates):
         losses = generate_environment(

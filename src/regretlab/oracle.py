@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .algorithms import kl_ball_minimizer
-from .core import Distribution, GameSpec, RngSpec, expected_loss
+from .core import Distribution, GameSpec, RadiusLadder, RngSpec, expected_loss
 
 LP_GAP_TOL = 1e-9
 DEFAULT_BUDGET = 10 ** 6
@@ -63,14 +63,14 @@ def _mixture(x) -> np.ndarray:
     return x / x.sum()
 
 
-def _refinement_ladder(game: GameSpec, rate):
-    """The rate's KL-ball radius ladder when its leaves refine on this game:
-    it carries a prior over exactly the game's decisions. None otherwise."""
-    ladder = rate.refinement_ladder(game.horizon)
+def _leaf_ladder(game: GameSpec, rate):
+    """The KL-ball radius ladder that refines the rate's leaves on this game,
+    when the rate carries a prior over exactly the game's decisions. None
+    otherwise."""
     prior = rate.prior
-    if ladder is None or prior is None or prior.support_size != game.n_decisions:
+    if prior is None or prior.support_size != game.n_decisions:
         return None
-    return ladder
+    return RadiusLadder.for_game(game.horizon, prior.support_size)
 
 
 def _least_penalised(comparators, penalties, cum) -> float:
@@ -94,15 +94,15 @@ def _leaf_value(game: GameSpec, rate, history, ladder) -> tuple:
     return -best, -min(best, _least_penalised(tilted, [rate.evaluate(f, ys) for f in tilted], cum))
 
 
-def _backward_induction(game: GameSpec, rate, ladder, budget: int):
+def _backward_induction(game: GameSpec, rate, ladder):
     """One walk of the history tree: the root values (plain, then refined
     when a ladder is given), the adversary's worst path in the game of the
     last value, and the number of histories visited. Each internal history
     solves one matrix game per value it carries."""
     required = game.n_outcomes ** game.horizon
-    if required > budget:
+    if required > DEFAULT_BUDGET:
         raise BudgetError(
-            f"game needs {required} terminal histories, budget is {budget}"
+            f"game needs {required} terminal histories, budget is {DEFAULT_BUDGET}"
         )
     visits = 0
 
@@ -124,21 +124,6 @@ def _backward_induction(game: GameSpec, rate, ladder, budget: int):
     return values, path, visits
 
 
-def offset_minimax_value(game: GameSpec, rate, refine: bool = False,
-                         budget: int = DEFAULT_BUDGET) -> float:
-    """Root value of the rate-offset game by exact backward induction.
-
-    Terminal payoff: cumulative algorithm loss minus the best comparator's
-    cumulative loss plus its rate penalty, minimised over the comparator
-    grid (optionally refined through KL-ball minimisers when the rate
-    carries a prior over the decisions). Nonpositive root value certifies
-    the rate as achievable on this game.
-    """
-    ladder = _refinement_ladder(game, rate) if refine else None
-    values, _, _ = _backward_induction(game, rate, ladder, budget)
-    return values[-1]
-
-
 @dataclass(frozen=True)
 class AchievabilityReport:
     value: float
@@ -148,20 +133,21 @@ class AchievabilityReport:
     worst_path: tuple
     node_count: int
 
-    @property
-    def certified_value(self) -> float:
-        return self.value if self.refined_value is None else self.refined_value
-
 
 def achievability_check(game: GameSpec, rate, tol: float = 1e-7) -> AchievabilityReport:
     """Achievability verdict with the adversary's maximising outcome path.
 
-    When the rate supports KL-ball refinement the verdict is based on the
-    refined (larger, hence conservative) root value; both values are
-    reported, from one walk of the history tree.
+    ``value`` is the root value of the rate-offset game. Its terminal
+    payoff is the algorithm's cumulative loss minus the least penalised
+    comparator loss over the comparator grid. A nonpositive root value
+    certifies the rate as achievable on this game. When the rate carries a
+    prior over the game's decisions, ``refined_value`` also admits the
+    KL-ball minimisers at the leaves. The verdict then rests on that
+    larger, hence conservative, value. Both come from one walk of the
+    history tree.
     """
-    ladder = _refinement_ladder(game, rate)
-    values, path, visits = _backward_induction(game, rate, ladder, DEFAULT_BUDGET)
+    ladder = _leaf_ladder(game, rate)
+    values, path, visits = _backward_induction(game, rate, ladder)
     return AchievabilityReport(
         value=values[0],
         refined_value=None if ladder is None else values[1],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretlab.bounds import (
+    RATE_KINDS,
     AdaptiveRate,
     CoveringProfile,
     PREDICTABLE_K1,
@@ -318,13 +319,6 @@ class TestAdaptiveRateDispatch:
         expected = fixed_vs_best_rate(ys @ f, ys[:, 0], 4)
         assert rate.evaluate(f, ys) == expected
 
-    def test_predictable_needs_value_sequence(self):
-        profile = CoveringProfile("analytic_power_law", p=1.0)
-        rate = AdaptiveRate("predictable", centers=np.zeros(4), profile=profile)
-        with pytest.raises(ValueError, match="value sequence"):
-            rate.evaluate(np.array([0.5, 0.5]), np.zeros((4, 2)))
-        assert rate.evaluate(np.ones(4), np.zeros((4, 2))) > 0
-
     def test_nonnegative_on_random_inputs(self):
         gen = np.random.default_rng(6)
         pi = Distribution.uniform(3)
@@ -380,12 +374,14 @@ def _batch_case(draw):
 
 
 def _rates(prior, fstar):
-    return [
-        AdaptiveRate("kl_radius", prior=prior),
-        AdaptiveRate("pac_bayes", prior=prior),
-        AdaptiveRate("fixed_vs_best", fstar_index=fstar, class_size=prior.support_size),
-        AdaptiveRate("uniform_constant", value=0.5),
-    ]
+    """One rate of every registered kind."""
+    params = {
+        "kl_radius": dict(prior=prior),
+        "pac_bayes": dict(prior=prior),
+        "fixed_vs_best": dict(fstar_index=fstar, class_size=prior.support_size),
+        "uniform_constant": dict(value=0.5),
+    }
+    return [AdaptiveRate(kind, **params[kind]) for kind in RATE_KINDS]
 
 
 class TestEvaluateMany:
@@ -398,6 +394,19 @@ class TestEvaluateMany:
             scalar = np.array([rate.evaluate(w, losses) for w in rows])
             assert batch.shape == (rows.shape[0],)
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0, err_msg=rate.kind)
+
+    @settings(max_examples=100)
+    @given(_batch_case(), st.data())
+    def test_invariant_under_permuted_outcomes(self, case, data):
+        prior, rows, losses, fstar = case
+        permuted = losses[data.draw(st.permutations(range(len(losses))))]
+        for rate in _rates(prior, fstar):
+            want = rate.evaluate_many(rows, losses)
+            np.testing.assert_allclose(rate.evaluate_many(rows, permuted), want,
+                                       rtol=1e-12, atol=0.0, err_msg=rate.kind)
+            np.testing.assert_allclose([rate.evaluate(w, permuted) for w in rows],
+                                       [rate.evaluate(w, losses) for w in rows],
+                                       rtol=1e-12, atol=0.0, err_msg=rate.kind)
 
     def test_outside_prior_support_is_infinite(self):
         prior = Distribution(np.array([1.0, 0.0, 0.0]))

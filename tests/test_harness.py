@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from regretlab import __version__
+from regretlab.bounds import RATE_NAMES
 from regretlab.cli import main as lab_main
 from regretlab.core import RngSpec
 from regretlab.harness import (
@@ -155,6 +156,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown rate"):
             _config(rates=("spectral-banana",))
 
+    @pytest.mark.parametrize("experts", [0, -2])
+    def test_too_few_experts_rejected(self, experts):
+        with pytest.raises(ValueError, match="experts must be >= 1"):
+            _config(experts=experts)
+
     def test_unknown_strategy_param_rejected(self):
         cfg = _config(strategy_params={"lambda_mode": "optimized", "typo": 1})
         with pytest.raises(ValueError, match="unknown strategy params"):
@@ -194,6 +200,10 @@ class TestRunExperiment:
         # environments lack, so the registry does not offer it
         with pytest.raises(ValueError, match="unknown rate 'predictable'"):
             _config(rates=("predictable",))
+
+    def test_one_expert_runs(self):
+        records = run_experiment(_config(experts=1, replicates=1, rates=RATE_NAMES))
+        assert [r.experts for r in records] == [1] * len(RATE_NAMES)
 
     def test_quantile_audit_with_top_fraction_mixtures(self):
         # competing with the uniform mixture over the best eps-fraction of
@@ -363,9 +373,30 @@ class TestCli:
         rc = lab_main(["oracle", "--game", str(game), "--rate", "uniform-constant",
                        "--rate-value", "10.0", "--report", str(report)])
         assert rc == 0 and json.loads(report.read_text())["achievable"]
-        with pytest.raises(ValueError, match="unknown oracle rate"):
+        with pytest.raises(ValueError, match="unknown rate 'bogus'; registry"):
             lab_main(["oracle", "--game", str(game), "--rate", "bogus",
                       "--report", str(report)])
+
+    def test_rate_names_come_from_one_registry(self, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "schema": "regretlab/game-v1",
+            "outcomes": [[0, 0], [0, 1], [1, 0], [1, 1]],
+            "horizon": 2,
+        }))
+        report = tmp_path / "oracle.json"
+        for name in RATE_NAMES:
+            assert _config(rates=(name,)).rates == (name,)
+            assert lab_main(["oracle", "--game", str(game), "--rate", name,
+                             "--report", str(report)]) in (0, 1)
+            assert json.loads(report.read_text())["rate"] == name
+        for name in ("kl_radius", "spectral", "bogus"):
+            with pytest.raises(ValueError) as from_config:
+                _config(rates=(name,))
+            with pytest.raises(ValueError) as from_oracle:
+                lab_main(["oracle", "--game", str(game), "--rate", name, "--report", str(report)])
+            assert str(from_config.value) == str(from_oracle.value) == (
+                f"unknown rate {name!r}; registry: {RATE_NAMES}")
 
     def test_admissible_subcommand(self, tmp_path):
         game = tmp_path / "game.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regretlab import oracle
 from regretlab.algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation, kl_ball_minimizer
-from regretlab.bounds import AdaptiveRate
+from regretlab.bounds import RATE_NAMES, AdaptiveRate
 from regretlab.core import Distribution, GameSpec, RadiusLadder, RngSpec, expected_loss
 from regretlab.harness import simplex_grid
 from regretlab.oracle import (
@@ -17,7 +17,6 @@ from regretlab.oracle import (
     achievability_check,
     admissibility_check,
     matrix_game_value,
-    offset_minimax_value,
     regret_certificate,
 )
 
@@ -77,7 +76,7 @@ class _Counted:
 def _reference_tree(game, rate, refine):
     """Root value, worst path and history count by a plain recursion over the
     history tree, with leaf payoffs written out here."""
-    ladder = rate.refinement_ladder(game.horizon) if refine else None
+    ladder = RadiusLadder.for_game(game.horizon, rate.prior.support_size) if refine else None
 
     def leaf(history):
         ys = game.outcomes[list(history)]
@@ -171,16 +170,20 @@ class TestMatrixGameValue:
             matrix_game_value(m)
 
 
+def _value(game, rate):
+    return achievability_check(game, rate).value
+
+
 class TestOffsetMinimaxValue:
     def test_single_option_zero_rate(self):
         game = GameSpec.experts_game([[0.4]], horizon=3)
         rate = AdaptiveRate("uniform_constant", value=0.0)
-        assert offset_minimax_value(game, rate) == pytest.approx(0.0, abs=1e-9)
+        assert _value(game, rate) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_experts_one_round(self):
         game = GameSpec.experts_game([[1.0, 0.0], [0.0, 1.0]], horizon=1)
         rate = AdaptiveRate("uniform_constant", value=0.0)
-        value = offset_minimax_value(game, rate)
+        value = _value(game, rate)
         assert value == pytest.approx(0.5, abs=1e-9)
         # brute force: min over a fine q grid of max over outcomes of
         # q-loss plus the (zero-rate) leaf value
@@ -195,7 +198,7 @@ class TestOffsetMinimaxValue:
     def test_constant_rate_shifts_leaf(self):
         game = GameSpec.experts_game([[1.0, 0.0], [0.0, 1.0]], horizon=1)
         rate = AdaptiveRate("uniform_constant", value=0.5)
-        assert offset_minimax_value(game, rate) == pytest.approx(0.0, abs=1e-9)
+        assert _value(game, rate) == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_in_rate(self):
         gen = RngSpec(seed=13).generator()
@@ -205,16 +208,16 @@ class TestOffsetMinimaxValue:
             n = int(gen.integers(1, 4))
             game = GameSpec.experts_game(gen.random((m, k)), horizon=n)
             lo, hi = sorted(gen.random(2) * 2)
-            a_small_rate = offset_minimax_value(game, AdaptiveRate("uniform_constant", value=lo))
-            a_big_rate = offset_minimax_value(game, AdaptiveRate("uniform_constant", value=hi))
+            a_small_rate = _value(game, AdaptiveRate("uniform_constant", value=lo))
+            a_big_rate = _value(game, AdaptiveRate("uniform_constant", value=hi))
             assert a_big_rate <= a_small_rate + 1e-9
 
     def test_leaf_shift_identity(self):
         gen = RngSpec(seed=14).generator()
         game = GameSpec.experts_game(gen.random((3, 2)), horizon=2)
-        base = offset_minimax_value(game, AdaptiveRate("uniform_constant", value=0.0))
+        base = _value(game, AdaptiveRate("uniform_constant", value=0.0))
         for c in (0.25, 1.0, 1.75):
-            shifted = offset_minimax_value(game, AdaptiveRate("uniform_constant", value=c))
+            shifted = _value(game, AdaptiveRate("uniform_constant", value=c))
             assert shifted == pytest.approx(base - c, abs=1e-9)
 
     def test_single_outcome_degenerates_to_min_sum(self):
@@ -222,12 +225,13 @@ class TestOffsetMinimaxValue:
         rate = AdaptiveRate("uniform_constant", value=0.0)
         # per round the learner plays the pointwise best expert; comparator
         # grid contains that expert, so the offset value telescopes to zero
-        assert offset_minimax_value(game, rate) == pytest.approx(0.0, abs=1e-9)
+        assert _value(game, rate) == pytest.approx(0.0, abs=1e-9)
 
     def test_budget_error(self):
-        game = _binary_game(horizon=12)
+        # 4 ** 10 histories exceed the default budget; the check comes before any work
+        game = _binary_game(horizon=10)
         with pytest.raises(BudgetError, match="budget"):
-            offset_minimax_value(game, AdaptiveRate("uniform_constant", value=0.0), budget=100)
+            _value(game, AdaptiveRate("uniform_constant", value=0.0))
 
 
 class TestAchievabilityCheck:
@@ -253,12 +257,6 @@ class TestAchievabilityCheck:
         assert report.refined_value >= report.value - 1e-9
 
 
-_RATES = {
-    "kl-radius": lambda k: AdaptiveRate("kl_radius", prior=Distribution.uniform(k)),
-    "pac-bayes": lambda k: AdaptiveRate("pac_bayes", prior=Distribution.uniform(k)),
-    "fixed-vs-best": lambda k: AdaptiveRate("fixed_vs_best", fstar_index=0, class_size=k),
-    "uniform-constant": lambda k: AdaptiveRate("uniform_constant", value=0.5),
-}
 _REFINES = ("kl-radius", "pac-bayes")
 
 _SMALL_GAMES = [
@@ -271,20 +269,19 @@ _SMALL_GAMES = [
 
 
 class TestOneWalk:
-    @pytest.mark.parametrize("rate_name", list(_RATES))
+    @pytest.mark.parametrize("rate_name", RATE_NAMES)
     @pytest.mark.parametrize("game", _SMALL_GAMES)
     def test_report_matches_separate_solves_and_reference(self, rate_name, game):
-        rate = _RATES[rate_name](game.n_decisions)
+        rate = AdaptiveRate.named(rate_name, game.n_decisions, value=0.5)
         report = achievability_check(game, rate)
         plain = _reference_tree(game, rate, refine=False)
-        assert report.value == offset_minimax_value(game, rate, refine=False) == plain[0]
+        assert report.value == plain[0]
         if rate_name in _REFINES:
             refined = _reference_tree(game, rate, refine=True)
-            assert report.refined_value == offset_minimax_value(game, rate, refine=True) == refined[0]
+            assert report.refined_value == refined[0]
             certified = refined
         else:
             assert report.refined_value is None
-            assert offset_minimax_value(game, rate, refine=True) == report.value
             certified = plain
         assert report.worst_path == certified[1]
         assert report.node_count == certified[2] == sum(
@@ -292,22 +289,24 @@ class TestOneWalk:
 
     @settings(max_examples=30)
     @given(k=st.integers(2, 3), m=st.integers(2, 3), n=st.integers(2, 3),
-           seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(_RATES)))
+           seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(RATE_NAMES)))
     def test_random_games_match_reference(self, k, m, n, seed, rate_name):
         gen = np.random.default_rng(seed)
         comparators = [np.eye(k)[i] for i in range(k)] + list(gen.dirichlet(np.ones(k), 2))
         game = GameSpec.experts_game(gen.integers(0, 3, (m, k)) / 2.0, horizon=n,
                                      comparators=comparators)
-        rate = _RATES[rate_name](k)
+        rate = AdaptiveRate.named(rate_name, k, value=0.5)
         report = achievability_check(game, rate)
-        want = _reference_tree(game, rate, refine=rate_name in _REFINES)
-        assert (report.certified_value, report.worst_path, report.node_count) == want
+        refine = rate_name in _REFINES
+        want = _reference_tree(game, rate, refine)
+        certified = report.refined_value if refine else report.value
+        assert (certified, report.worst_path, report.node_count) == want
         assert report.value == _reference_tree(game, rate, refine=False)[0]
 
-    @pytest.mark.parametrize("rate_name", list(_RATES))
+    @pytest.mark.parametrize("rate_name", RATE_NAMES)
     def test_one_lp_per_game_per_internal_node(self, rate_name):
         game = _binary_game(3)
-        rate = _RATES[rate_name](2)
+        rate = AdaptiveRate.named(rate_name, 2, value=0.5)
         with _Counted("linprog") as lp, _Counted("_leaf_value") as leaves:
             achievability_check(game, rate)
         internal = sum(4 ** t for t in range(3))
