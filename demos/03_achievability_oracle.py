@@ -1,8 +1,10 @@
 """Deciding achievability exactly on desk-scale games.
 
-The oracle runs backward induction over every outcome history, solving each
-round as a zero-sum matrix game; the leaf payoff charges the adversary the
-best comparator's loss plus its rate penalty. A nonpositive root value
+The oracle runs backward induction over outcome-count states (histories
+with the same outcome counts share one value, since every rate depends on
+the outcomes only through their multiset), solving each round as a
+zero-sum matrix game; the leaf payoff charges the adversary the best
+comparator's loss plus its rate penalty. A nonpositive root value
 means some strategy meets the rate on every sequence of this game.
 """
 

@@ -38,6 +38,13 @@ def rate_kind(name: str) -> str:
     return name.replace("-", "_")
 
 
+def require_horizon(kind: str, horizon: int) -> None:
+    """Reject a horizon the rate of ``kind`` is undefined at: the pac-bayes
+    penalty carries log n, which needs n >= 2."""
+    if kind == "pac_bayes" and horizon < 2:
+        raise ValueError(f"rate 'pac-bayes' needs horizon n >= 2, got horizon {horizon}")
+
+
 @dataclass(frozen=True)
 class CoveringProfile:
     """How log N_2(delta) is obtained for entropy-based rates.

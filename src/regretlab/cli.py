@@ -107,7 +107,7 @@ def _cmd_oracle(args) -> int:
         "refined_value": report.refined_value,
         "achievable": report.achievable, "tol": report.tol,
         "worst_path": list(report.worst_path),
-        "node_count": report.node_count,
+        "node_count": report.node_count, "state_count": report.state_count,
     })
     return 0 if report.achievable else 1
 

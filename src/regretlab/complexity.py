@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -102,12 +102,13 @@ class CoverReport:
     metric: str
 
 
-def _pairwise_path_stats(table: FunctionTable):
-    """Cache per-pair, per-path l2 and linf discrepancies on the table."""
+def _pairwise_path_stats(table: FunctionTable, paths=None):
+    """Per-pair, per-path l2 and linf discrepancies: over every path of the
+    table, cached on it, or over the sampled paths ``paths`` alone."""
     cached = getattr(table, "_pair_stats", None)
-    if cached is not None:
+    if paths is None and cached is not None:
         return cached
-    _, idx = _paths(table.depth)
+    idx = _paths(table.depth)[1] if paths is None else paths
     vals = table.values[:, idx]                     # (G, P, n)
     g = table.n_functions
     d2 = np.empty((g, g, vals.shape[1]))
@@ -116,14 +117,15 @@ def _pairwise_path_stats(table: FunctionTable):
         diff = vals - vals[v]
         d2[v] = np.einsum("gpt,gpt->gp", diff, diff)
         dinf[v] = np.abs(diff).max(axis=2)
-    object.__setattr__(table, "_pair_stats", (d2, dinf))
+    if paths is None:
+        object.__setattr__(table, "_pair_stats", (d2, dinf))
     return d2, dinf
 
 
-def _cover_masks(table: FunctionTable, alpha: float, metric: str):
-    """Bitmask per candidate v over the (function, path) universe it covers."""
-    d2, dinf = _pairwise_path_stats(table)
-    n = table.depth
+def _cover_masks(stats, n: int, alpha: float, metric: str):
+    """Bitmask per candidate v over the (function, path) universe it covers,
+    from the pairwise discrepancies ``stats`` of a depth-n table."""
+    d2, dinf = stats
     if metric == "l2":
         close = d2 <= n * alpha * alpha + 1e-12
     elif metric == "linf":
@@ -131,7 +133,7 @@ def _cover_masks(table: FunctionTable, alpha: float, metric: str):
     else:
         raise ValueError(f"unknown metric {metric!r}")
     masks = []
-    for v in range(table.n_functions):
+    for v in range(len(close)):
         bits = np.packbits(close[v].reshape(-1))
         masks.append(int.from_bytes(bits.tobytes(), "big"))
     universe_bits = close[0].size
@@ -196,8 +198,12 @@ def covering_number_report(table: FunctionTable, alpha: float, metric: str = "l2
         raise ValueError(
             f"covering needs per-path enumeration; depth cap is {COVER_DEPTH_CAP}"
         )
-    masks, full = _cover_masks(table, alpha, metric)
-    if table.n_functions <= exact_cap:
+    return _cover_report(_pairwise_path_stats(table), table.depth, alpha, metric, exact_cap)
+
+
+def _cover_report(stats, n: int, alpha: float, metric: str, exact_cap: int) -> CoverReport:
+    masks, full = _cover_masks(stats, n, alpha, metric)
+    if len(masks) <= exact_cap:
         return CoverReport(_exact_cover_size(masks, full), True, alpha, metric)
     return CoverReport(len(_greedy_cover(masks, full)), False, alpha, metric)
 
@@ -206,29 +212,43 @@ def covering_number(table: FunctionTable, alpha: float, metric: str = "l2") -> i
     return covering_number_report(table, alpha, metric).size
 
 
-def _log_cover_fn(source):
-    """delta -> log N_2(delta) for a FunctionTable or analytic profile."""
+def _cover_paths(n: int, idx):
+    """The paths a depth-n functional measures its covers on, given the
+    sign paths ``idx`` it averages over: None (every path of the tree) up to
+    COVER_DEPTH_CAP, the sampled paths beyond it. An exact cover of fewer
+    paths is no larger, so the penalties it prices can only shrink."""
+    return idx if n > COVER_DEPTH_CAP else None
+
+
+def _cover_fn(table: FunctionTable, paths=None):
+    """Memoised delta -> l2 cover size of the table, over every path or over
+    the sampled paths ``paths`` alone."""
+    if paths is None:
+        return cache(lambda delta: covering_number(table, delta, "l2"))
+    stats = _pairwise_path_stats(table, paths)
+    return cache(lambda delta: _cover_report(stats, table.depth, delta, "l2",
+                                             EXACT_COVER_CLASS_CAP).size)
+
+
+def _log_cover_fn(source, paths=None):
+    """delta -> log N_2(delta) for a FunctionTable or analytic profile; a
+    table's covers are measured on ``paths`` when given (see _cover_paths)."""
     if isinstance(source, FunctionTable):
-        cache = {}
-
-        def log_cov(delta):
-            if delta not in cache:
-                cache[delta] = math.log(covering_number(source, delta, "l2"))
-            return cache[delta]
-
-        return log_cov
+        cover = _cover_fn(source, paths)
+        return lambda delta: math.log(cover(delta))
     if hasattr(source, "log_covering"):
         return source.log_covering
     raise TypeError("expected a FunctionTable or an object with log_covering")
 
 
-def dudley_integral(source, gamma: float, n: int) -> float:
+def dudley_integral(source, gamma: float, n: int, paths=None) -> float:
     """Entropy integral of sqrt(n log N_2(delta)) over delta in [1/n, gamma].
 
     Finite tables give an integer step integrand, which is integrated
     exactly (piecewise, with bisected breakpoints) so the result is
     monotone in gamma; analytic profiles use trapezoidal quadrature on a
-    64-point geometric grid. The multiplying constants are left to the
+    64-point geometric grid. A table's covers are measured on ``paths``
+    when given (see _cover_paths). The multiplying constants are left to the
     callers; an empty range integrates to 0.
     """
     lo = 1.0 / n
@@ -238,26 +258,20 @@ def dudley_integral(source, gamma: float, n: int) -> float:
     if table is None and getattr(source, "mode", None) == "finite_class_exact":
         table = source.table
     if table is not None:
-        return _step_integral(table, lo, gamma, n)
+        return _step_integral(_cover_fn(table, paths), lo, gamma, n)
     log_cov = _log_cover_fn(source)
     deltas = np.geomspace(lo, gamma, DUDLEY_GRID_POINTS)
     heights = np.array([math.sqrt(n * max(log_cov(float(d)), 0.0)) for d in deltas])
     return float(np.trapezoid(heights, deltas))
 
 
-def _step_integral(table: FunctionTable, lo: float, hi: float, n: int) -> float:
+def _step_integral(cover, lo: float, hi: float, n: int) -> float:
     """Exact integral of sqrt(n log N_2(delta)) for the integer-valued,
-    nonincreasing cover-size function of one table.
+    nonincreasing cover-size function ``cover`` of one table.
 
     Greedy covers are not monotone in the scale, so only exact minima take
     this route; everything else falls back to quadrature.
     """
-    cache = {}
-
-    def cover(delta):
-        if delta not in cache:
-            cache[delta] = covering_number(table, delta, "l2")
-        return cache[delta]
 
     def height(size):
         return math.sqrt(n * math.log(size))
@@ -328,8 +342,10 @@ def _chained_scale_grid(n: int):
     return [2.0 ** j / n for j in range(top + 1)]
 
 
-def _offset_objective(table: FunctionTable, form: OffsetForm, signed, squares, n: int):
-    """(G, P) objective values before the per-path supremum."""
+def _offset_objective(table: FunctionTable, form: OffsetForm, signed, squares, n: int,
+                      paths=None):
+    """(G, P) objective values before the per-path supremum; a chained
+    penalty measures the table's covers on ``paths`` (see _cover_paths)."""
     if form.kind == "none":
         return signed
     if form.kind == "quadratic":
@@ -340,12 +356,12 @@ def _offset_objective(table: FunctionTable, form: OffsetForm, signed, squares, n
         return signed - 2.0 * np.log(scaled) * np.sqrt(32.0 * scaled)
     if form.kind == "chained_penalty":
         source = form.profile if form.profile is not None else table
-        log_cov = _log_cover_fn(source)
+        log_cov = _log_cover_fn(source, paths)
         logn = math.log(n)
         best = None
         for gamma in _chained_scale_grid(n):
             ent = log_cov(gamma / 2.0)
-            integ = dudley_integral(source, gamma, n)
+            integ = dudley_integral(source, gamma, n, paths)
             pen = 4.0 * np.sqrt(2.0 * logn * ent * (squares + 1.0)) \
                 + 24.0 * math.sqrt(2.0) * logn * integ
             obj = signed - pen
@@ -368,12 +384,13 @@ def offset_expectation(
     With ``OffsetForm("none")`` this is the sequential Rademacher complexity
     of the class on its tree. Exact mode enumerates every sign path
     (depth <= 12) and returns a float; mc mode samples paths and returns
-    (estimate, stderr).
+    (estimate, stderr). Above COVER_DEPTH_CAP a chained penalty measures the
+    covers on the sampled paths.
     """
     n = table.depth
     signs, idx = _sign_paths(n, mode, rng, replicates)
     signed, squares = _signed_and_square_sums(table, signs, idx)
-    sups = _offset_objective(table, form, signed, squares, n).max(axis=0)
+    sups = _offset_objective(table, form, signed, squares, n, _cover_paths(n, idx)).max(axis=0)
     estimate = float(sups.mean())
     if mode == "exact":
         return estimate

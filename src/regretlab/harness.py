@@ -25,7 +25,7 @@ from .algorithms import (
     TwoLevelRelaxation,
     kl_ball_minimizer,
 )
-from .bounds import AdaptiveRate, rate_kind
+from .bounds import AdaptiveRate, rate_kind, require_horizon
 from .core import Distribution, GameSpec, RadiusLadder, RngSpec
 
 ENVIRONMENTS = (
@@ -154,7 +154,7 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; registry: {tuple(STRATEGIES)}")
         for r in self.rates:
-            rate_kind(r)                        # rejects a name outside the registry
+            require_horizon(rate_kind(r), self.horizon)  # rate_kind rejects unknown names
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":

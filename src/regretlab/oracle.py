@@ -1,21 +1,26 @@
 """Exact desk-scale certification of adaptive rates and relaxations.
 
-One backward induction over all outcome histories of a finite game, with
-each round solved as a zero-sum matrix game by one linear program whose
-saddle gap is checked: the root value is nonpositive exactly when the rate
-is achievable. A companion checker advances a potential/strategy pair's
-state through every outcome history (or a sample of them) and verifies the
-round-by-round and terminal inequalities it must satisfy.
+One backward induction over the outcome-count states of a finite game,
+with each round solved as a zero-sum matrix game whose saddle gap is
+checked: the root value is nonpositive exactly when the rate is
+achievable. Every game rate depends on the outcomes only through their
+multiset, so histories with the same outcome counts share one value. A
+companion checker advances a potential/strategy pair's state through every
+outcome history (or a sample of them) and verifies the round-by-round and
+terminal inequalities it must satisfy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .algorithms import kl_ball_minimizer
+from .bounds import RATE_KINDS, AdaptiveRate, require_horizon
 from .core import Distribution, GameSpec, RadiusLadder, RngSpec, expected_loss
 
 LP_GAP_TOL = 1e-9
@@ -29,14 +34,24 @@ class BudgetError(RuntimeError):
 def matrix_game_value(matrix) -> tuple[float, Distribution, Distribution]:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    The row player minimises, the column player maximises. One linear
-    program gives the value and the row strategy; the column strategy is
-    read from its inequality duals. Every call checks the saddle gap,
+    The row player minimises, the column player maximises. A game with two
+    rows is solved in closed form (``_envelope_game``); any other takes one
+    linear program (``_lp_game``). Every call checks the saddle gap,
     ``max_y (q^T m)_y - min_i (m p)_i``, to LP_GAP_TOL relative to the value.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if np.any(np.isnan(m)):
         raise ValueError("matrix contains NaN")
+    value, q, p = _envelope_game(m) if m.shape[0] == 2 else _lp_game(m)
+    gap = float(np.max(q @ m) - np.min(m @ p))
+    if not gap <= LP_GAP_TOL * max(1.0, abs(value)):
+        raise AssertionError(f"saddle gap {gap} exceeds tolerance")
+    return value, Distribution(q), Distribution(p)
+
+
+def _lp_game(m):
+    """(value, row strategy, column strategy) from one LP: the value and the
+    row strategy are its solution, the column strategy its inequality duals."""
     r, c = m.shape
     # variables: q_1..q_r, v ; minimise v subject to m^T q <= v, sum q = 1
     c_vec = np.zeros(r + 1)
@@ -49,18 +64,43 @@ def matrix_game_value(matrix) -> tuple[float, Distribution, Distribution]:
                   bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"matrix game LP failed: {res.message}")
-    value = float(res.fun)
-    q = _mixture(res.x[:r])
-    p = _mixture(-res.ineqlin.marginals)
-    gap = float(np.max(q @ m) - np.min(m @ p))
-    if not gap <= LP_GAP_TOL * max(1.0, abs(value)):
-        raise AssertionError(f"saddle gap {gap} exceeds tolerance")
-    return value, Distribution(q), Distribution(p)
+    return float(res.fun), _mixture(res.x[:r]), _mixture(-res.ineqlin.marginals)
 
 
 def _mixture(x) -> np.ndarray:
     x = np.clip(x, 0.0, None)
     return x / x.sum()
+
+
+def _envelope_game(m):
+    """(value, row strategy, column strategy) of a two-row game in closed form.
+
+    With weight q on row 0, column y pays the line ``a_y + q b_y`` (a = row 1,
+    b = row 0 - row 1). The value is the least height over q in [0, 1] of
+    the lines' upper envelope, reached at q = 0, at q = 1 or where a rising
+    line crosses a falling one. The column strategy is the best of the pure
+    columns and of the rising/falling pairs mixed so that both rows pay
+    alike: at the optimum, a best-response column when q is 0 or 1, else the
+    two active lines of opposite slopes.
+    """
+    a, b = m[1], m[0] - m[1]
+    rise, fall = np.flatnonzero(b > 0.0), np.flatnonzero(b < 0.0)
+    up, down = np.repeat(rise, fall.size), np.tile(fall, rise.size)   # every rising/falling pair
+    span = b[up] - b[down]
+    cross = (a[down] - a[up]) / span
+    qs = np.concatenate(([0.0, 1.0], cross[(cross > 0.0) & (cross < 1.0)]))
+    heights = np.max(a[None, :] + qs[:, None] * b[None, :], axis=1)
+    k = int(np.argmin(heights))
+    # mixed as (-b_down, b_up) / span, a pair pays the same on both rows
+    w_up, w_down = -b[down] / span, b[up] / span
+    c = m.shape[1]
+    best = int(np.argmax(np.concatenate((np.minimum(m[0], m[1]), w_up * a[up] + w_down * a[down]))))
+    p = np.zeros(c)
+    if best < c:
+        p[best] = 1.0
+    else:
+        p[up[best - c]], p[down[best - c]] = w_up[best - c], w_down[best - c]
+    return float(heights[k]), np.array([qs[k], 1.0 - qs[k]]), p
 
 
 def _leaf_ladder(game: GameSpec, rate):
@@ -94,34 +134,45 @@ def _leaf_value(game: GameSpec, rate, history, ladder) -> tuple:
     return -best, -min(best, _least_penalised(tilted, [rate.evaluate(f, ys) for f in tilted], cum))
 
 
-def _backward_induction(game: GameSpec, rate, ladder):
-    """One walk of the history tree: the root values (plain, then refined
-    when a ladder is given), the adversary's worst path in the game of the
-    last value, and the number of histories visited. Each internal history
-    solves one matrix game per value it carries."""
-    required = game.n_outcomes ** game.horizon
-    if required > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"game needs {required} terminal histories, budget is {DEFAULT_BUDGET}"
-        )
-    visits = 0
+def _count_state_induction(game: GameSpec, rate, ladder):
+    """One backward induction over outcome-count states: the root values
+    (plain, then refined when a ladder is given), the adversary's worst path
+    in the game of the last value, and the number of states walked.
 
-    def induct(history):
-        nonlocal visits
-        visits += 1
-        if len(history) == game.horizon:
-            return _leaf_value(game, rate, history, ladder), ()
-        below = [induct(history + (y,)) for y in range(game.n_outcomes)]
-        values = []
-        for child in np.array([v for v, _ in below]).T:
-            m = game.loss + child[None, :]
-            val, q, _ = matrix_game_value(m)
-            values.append(val)
-        y = int(np.argmax(q.weights @ m))
-        return tuple(values), (y,) + below[y][1]
+    A state stands for every prefix with the same outcome counts and is
+    keyed by its canonical history, the outcomes sorted by index, as
+    ``combinations_with_replacement`` yields them. Each internal state
+    solves one matrix game per value it carries and records its
+    best-response outcome, from which the worst path is read going down
+    from the root.
+    """
+    n, m = game.horizon, game.n_outcomes
+    states = math.comb(n + m, m)
+    if states > DEFAULT_BUDGET:
+        raise BudgetError(f"game needs {states} outcome-count states, budget is {DEFAULT_BUDGET}")
 
-    values, path = induct(())
-    return values, path, visits
+    def child(state, y):
+        return tuple(sorted(state + (y,)))
+
+    below = {state: _leaf_value(game, rate, state, ladder)
+             for state in itertools.combinations_with_replacement(range(m), n)}
+    worst = {}
+    for t in reversed(range(n)):
+        here = {}
+        for state in itertools.combinations_with_replacement(range(m), t):
+            values = []
+            for column in np.array([below[child(state, y)] for y in range(m)]).T:
+                payoff = game.loss + column[None, :]
+                value, q, _ = matrix_game_value(payoff)
+                values.append(value)
+            here[state] = tuple(values)
+            worst[state] = int(np.argmax(q.weights @ payoff))
+        below = here
+    path, state = (), ()
+    for _ in range(n):
+        path += (worst[state],)
+        state = child(state, path[-1])
+    return below[()], path, states
 
 
 @dataclass(frozen=True)
@@ -132,6 +183,7 @@ class AchievabilityReport:
     tol: float
     worst_path: tuple
     node_count: int
+    state_count: int
 
 
 def achievability_check(game: GameSpec, rate, tol: float = 1e-7) -> AchievabilityReport:
@@ -144,17 +196,27 @@ def achievability_check(game: GameSpec, rate, tol: float = 1e-7) -> Achievabilit
     prior over the game's decisions, ``refined_value`` also admits the
     KL-ball minimisers at the leaves. The verdict then rests on that
     larger, hence conservative, value. Both come from one walk of the
-    history tree.
+    outcome-count states, which needs a rate invariant to outcome order:
+    an ``AdaptiveRate`` of a kind in ``RATE_KINDS``.
+
+    ``node_count`` is the number of outcome histories the verdict covers,
+    the sum over t of |outcomes|^t; ``state_count`` is the number of count
+    states walked, C(horizon + |outcomes|, |outcomes|).
     """
+    if not (isinstance(rate, AdaptiveRate) and rate.kind in RATE_KINDS):
+        raise ValueError(f"the count-state walk needs an AdaptiveRate of a kind in {RATE_KINDS}, "
+                         f"invariant to outcome order; got {rate!r}")
+    require_horizon(rate.kind, game.horizon)
     ladder = _leaf_ladder(game, rate)
-    values, path, visits = _backward_induction(game, rate, ladder)
+    values, path, states = _count_state_induction(game, rate, ladder)
     return AchievabilityReport(
         value=values[0],
         refined_value=None if ladder is None else values[1],
         achievable=values[-1] <= tol,
         tol=tol,
         worst_path=path,
-        node_count=visits,
+        node_count=sum(game.n_outcomes ** t for t in range(game.horizon + 1)),
+        state_count=states,
     )
 
 

@@ -25,6 +25,7 @@ from .complexity import (
     covering_number,
     dudley_integral,
     offset_expectation,
+    _cover_paths,
     _log_cover_fn,
     _sign_paths,
     _signed_and_square_sums,
@@ -299,8 +300,12 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
     else:
         table, alpha, gamma = instance.table, instance.alpha, instance.gamma
         signed, squares = _signed_and_square_sums(table, signs, idx)
-        log_cov = _log_cover_fn(table)
-        integ = dudley_integral(table, gamma, n)
+        # above the cover depth cap the penalty and the scale come from
+        # covers of the sampled paths; exact ones are no larger than covers
+        # of every path, so they can only make the check stricter
+        paths = _cover_paths(n, idx)
+        log_cov = _log_cover_fn(table, paths)
+        integ = dudley_integral(table, gamma, n, paths)
         penalty = log_cov(gamma) / alpha + 12.0 * math.sqrt(2.0) * integ + 1.0
         objective = (signed - 2.0 * alpha * squares).max(axis=0) - penalty
         sigma = 12.0 * integ

@@ -261,6 +261,26 @@ class TestOffsetExpectation:
         with pytest.raises(ValueError):
             OffsetForm("custom_penalty")
 
+    def test_chained_mc_above_cover_depth_cap(self):
+        # two constant functions +-0.1 at depth 17: on every path their l2
+        # distance is 0.2, so the cover of the sampled paths has 2 elements
+        # below scale 0.2 and 1 from there on, and each scale's penalty is
+        # the same on every path
+        n = 17
+        table = FunctionTable(np.vstack([np.full(2 ** n - 1, 0.1), np.full(2 ** n - 1, -0.1)]))
+        mc = dict(mode="mc", rng=RngSpec(seed=1), replicates=1000)
+        est, se = offset_expectation(table, OffsetForm("chained_penalty"), **mc)
+        plain, plain_se = offset_expectation(table, NONE, **mc)
+        logn = math.log(n)
+        penalties = []
+        for gamma in [2.0 ** j / n for j in range(5)]:
+            ent = math.log(2) if gamma / 2 < 0.2 else 0.0
+            integ = math.sqrt(n * math.log(2)) * max(min(gamma, 0.2) - 1 / n, 0.0)
+            penalties.append(4 * math.sqrt(2 * logn * ent * (n * 0.01 + 1))
+                             + 24 * math.sqrt(2) * logn * integ)
+        assert est == pytest.approx(plain - min(penalties), rel=1e-9)
+        assert se == pytest.approx(plain_se, rel=1e-9)
+
     def test_mc_requires_rng(self):
         table = _random_table(26, 2, 4)
         with pytest.raises(ValueError):

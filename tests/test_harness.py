@@ -365,7 +365,10 @@ class TestCli:
         report = tmp_path / "oracle.json"
         rc = lab_main(["oracle", "--game", str(game), "--rate", "fixed-vs-best",
                        "--report", str(report)])
-        assert rc == 0 and json.loads(report.read_text())["achievable"]
+        doc = json.loads(report.read_text())
+        assert rc == 0 and doc["achievable"]
+        # 1 + 4 + 16 + 64 histories covered by C(3 + 4, 4) count states
+        assert doc["node_count"] == 85 and doc["state_count"] == 35
         rc = lab_main(["oracle", "--game", str(game), "--rate", "uniform-constant",
                        "--rate-value", "0.0", "--report", str(report)])
         assert rc == 1
@@ -376,6 +379,30 @@ class TestCli:
         with pytest.raises(ValueError, match="unknown rate 'bogus'; registry"):
             lab_main(["oracle", "--game", str(game), "--rate", "bogus",
                       "--report", str(report)])
+
+    def test_pac_bayes_horizon_one_rejected_by_run_config(self, tmp_path):
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc.update(environment={"name": "stochastic_bernoulli"}, rates=["pac-bayes"], horizon=1)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            lab_main(["run", "-c", str(config), "--report", str(tmp_path / "report.json")])
+        assert str(err.value) == "rate 'pac-bayes' needs horizon n >= 2, got horizon 1"
+        assert not (tmp_path / "rec.json").exists()
+
+    def test_pac_bayes_horizon_one_rejected_by_oracle(self, tmp_path):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "schema": "regretlab/game-v1",
+            "outcomes": [[0, 0], [0, 1], [1, 0], [1, 1]],
+            "horizon": 1,
+        }))
+        report = tmp_path / "oracle.json"
+        with pytest.raises(ValueError) as err:
+            lab_main(["oracle", "--game", str(game), "--rate", "pac-bayes",
+                      "--report", str(report)])
+        assert str(err.value) == "rate 'pac-bayes' needs horizon n >= 2, got horizon 1"
+        assert not report.exists()
 
     def test_rate_names_come_from_one_registry(self, tmp_path):
         game = tmp_path / "game.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from regretlab import oracle
 from regretlab.algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation, kl_ball_minimizer
@@ -101,6 +102,21 @@ def _reference_tree(game, rate, refine):
     return value(())
 
 
+def _lp_value(m):
+    """Value of the zero-sum game ``m`` (rows minimise) by one HiGHS LP."""
+    r, c = m.shape
+    res = linprog(np.r_[np.zeros(r), 1.0], A_ub=np.hstack([m.T, -np.ones((c, 1))]),
+                  b_ub=np.zeros(c), A_eq=np.r_[np.ones(r), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * r + [(None, None)], method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _random_game(seed, rows, cols, integer, scale):
+    m = np.random.default_rng(seed).uniform(-scale, scale, (rows, cols))
+    return np.round(m / scale * 2.0) if integer else m  # integers: ties and degenerate games
+
+
 class TestMatrixGameValue:
     def test_matching_pennies_vs_grid_oracle(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -136,12 +152,10 @@ class TestMatrixGameValue:
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            integer=st.booleans(), scale=st.sampled_from([1.0, 3.0, 50.0]))
     def test_one_lp_and_a_checked_saddle(self, rows, cols, seed, integer, scale):
-        m = np.random.default_rng(seed).uniform(-scale, scale, (rows, cols))
-        if integer:  # ties and degenerate games
-            m = np.round(m / scale * 2.0)
+        m = _random_game(seed, rows, cols, integer, scale)
         with _Counted("linprog") as lp:
             value, row, col = matrix_game_value(m)
-        assert lp.calls == 1
+        assert lp.calls == (0 if rows == 2 else 1)  # two rows take the closed form
         assert row.weights.shape == (rows,) and col.weights.shape == (cols,)
         for w in (row.weights, col.weights):
             assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
@@ -156,8 +170,9 @@ class TestMatrixGameValue:
         lambda y: np.zeros_like(y),          # no dual at all
     ], ids=["point-mass", "reversed", "zero"])
     def test_corrupted_duals_raise(self, corrupt, monkeypatch):
-        # the column player's only optimal strategy is (1/3, 2/3)
-        m = np.array([[0.0, 2.0], [1.0, 0.0]])
+        # the column player's only optimal strategy is (2/3, 1/3); the
+        # dominated third row sends the game down the LP path
+        m = np.array([[0.0, 2.0], [1.0, 0.0], [3.0, 3.0]])
         real = oracle.linprog
 
         def stub(*args, **kwargs):
@@ -168,6 +183,48 @@ class TestMatrixGameValue:
         monkeypatch.setattr(oracle, "linprog", stub)
         with np.errstate(invalid="ignore"), pytest.raises(AssertionError, match="saddle gap"):
             matrix_game_value(m)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: np.eye(p.size)[0],         # all mass on the first column
+        lambda p: p[::-1],                   # columns reversed
+        lambda p: np.full_like(p, 1.0 / p.size),
+    ], ids=["point-mass", "reversed", "uniform"])
+    def test_corrupted_closed_form_column_raises(self, corrupt, monkeypatch):
+        # the column player's only optimal strategy is (2/3, 0, 1/3)
+        m = np.array([[0.0, 0.5, 2.0], [1.0, 0.5, 0.0]])
+        real = oracle._envelope_game
+        assert matrix_game_value(m)[2].weights == pytest.approx([2 / 3, 0.0, 1 / 3], abs=1e-15)
+
+        def stub(matrix):
+            value, q, p = real(matrix)
+            return value, q, corrupt(p)
+
+        monkeypatch.setattr(oracle, "_envelope_game", stub)
+        with pytest.raises(AssertionError, match="saddle gap"):
+            matrix_game_value(m)
+
+    @settings(max_examples=300)
+    @given(cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           integer=st.booleans(), scale=st.sampled_from([1.0, 3.0, 50.0]))
+    def test_two_row_closed_form_matches_the_lp(self, cols, seed, integer, scale):
+        m = _random_game(seed, 2, cols, integer, scale)
+        want = _lp_value(m)
+        assert abs(matrix_game_value(m)[0] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m", [
+        [[0.0, 0.0], [0.0, 0.0]],                   # every strategy optimal
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+        [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]],         # a flat line through the kink
+        [[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]],
+        [[0.0, 1.0], [0.0, 1.0]],                   # parallel lines
+        [[0.0, 3.0, 1.0, 2.0], [3.0, 0.0, 2.0, 1.0]],  # two pairs cross at q = 1/2
+        [[-1.0, 5.0], [2.0, 5.0]],                  # a dominating column
+        [[1.0, 0.0], [2.0, 3.0]],                   # optimum at q = 1
+        [[2.0, 3.0], [1.0, 0.0]],                   # optimum at q = 0
+    ])
+    def test_degenerate_two_row_games(self, m):
+        m = np.array(m)
+        assert matrix_game_value(m)[0] == pytest.approx(_lp_value(m), rel=1e-12, abs=1e-12)
 
 
 def _value(game, rate):
@@ -228,10 +285,18 @@ class TestOffsetMinimaxValue:
         assert _value(game, rate) == pytest.approx(0.0, abs=1e-9)
 
     def test_budget_error(self):
-        # 4 ** 10 histories exceed the default budget; the check comes before any work
-        game = _binary_game(horizon=10)
-        with pytest.raises(BudgetError, match="budget"):
+        # 3 experts and 8 outcomes at n=26 need C(34, 8) > 1e6 count states;
+        # the check comes before any work
+        game = GameSpec.experts_game(list(itertools.product([0.0, 1.0], repeat=3)), horizon=26)
+        with _Counted("_leaf_value") as leaves, pytest.raises(BudgetError, match="budget"):
             _value(game, AdaptiveRate("uniform_constant", value=0.0))
+        assert leaves.calls == 0
+
+    def test_budget_counts_states_not_histories(self):
+        # 4 ** 10 histories exceed the budget, but C(14, 4) = 1001 states do not
+        report = achievability_check(_binary_game(horizon=10), AdaptiveRate("uniform_constant"))
+        assert report.state_count == 1001
+        assert report.node_count == sum(4 ** t for t in range(11))
 
 
 class TestAchievabilityCheck:
@@ -255,6 +320,25 @@ class TestAchievabilityCheck:
         assert report.refined_value is not None
         # refinement can only raise the root value toward the true one
         assert report.refined_value >= report.value - 1e-9
+
+    def test_order_dependent_rate_rejected(self):
+        class LastOutcomeRate:
+            """Duck-typed rate that prices the last outcome alone."""
+            kind, prior = "uniform_constant", None
+
+            def evaluate(self, comparator, outcomes):
+                return float(np.dot(comparator, outcomes[-1]))
+
+        with _Counted("_leaf_value") as leaves, pytest.raises(ValueError, match="invariant"):
+            achievability_check(_binary_game(horizon=2), LastOutcomeRate())
+        assert leaves.calls == 0
+
+    def test_pac_bayes_horizon_one_rejected(self):
+        rate = AdaptiveRate("pac_bayes", prior=Distribution.uniform(2))
+        with _Counted("_leaf_value") as leaves, pytest.raises(
+                ValueError, match=r"^rate 'pac-bayes' needs horizon n >= 2, got horizon 1$"):
+            achievability_check(_binary_game(horizon=1), rate)
+        assert leaves.calls == 0
 
 
 _REFINES = ("kl-radius", "pac-bayes")
@@ -286,11 +370,14 @@ class TestOneWalk:
         assert report.worst_path == certified[1]
         assert report.node_count == certified[2] == sum(
             game.n_outcomes ** t for t in range(game.horizon + 1))
+        assert report.state_count == math.comb(game.horizon + game.n_outcomes, game.n_outcomes)
 
-    @settings(max_examples=30)
-    @given(k=st.integers(2, 3), m=st.integers(2, 3), n=st.integers(2, 3),
+    @settings(max_examples=60)
+    @given(k=st.integers(2, 3), m=st.integers(2, 4), n=st.integers(2, 4),
            seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(RATE_NAMES)))
     def test_random_games_match_reference(self, k, m, n, seed, rate_name):
+        # 0/½/1 losses sum exactly in any order, so count states and the
+        # history tree solve the very same games
         gen = np.random.default_rng(seed)
         comparators = [np.eye(k)[i] for i in range(k)] + list(gen.dirichlet(np.ones(k), 2))
         game = GameSpec.experts_game(gen.integers(0, 3, (m, k)) / 2.0, horizon=n,
@@ -298,20 +385,46 @@ class TestOneWalk:
         rate = AdaptiveRate.named(rate_name, k, value=0.5)
         report = achievability_check(game, rate)
         refine = rate_name in _REFINES
-        want = _reference_tree(game, rate, refine)
-        certified = report.refined_value if refine else report.value
-        assert (certified, report.worst_path, report.node_count) == want
-        assert report.value == _reference_tree(game, rate, refine=False)[0]
+        plain = _reference_tree(game, rate, refine=False)
+        refined = _reference_tree(game, rate, refine=True) if refine else None
+        assert report.value == plain[0]
+        assert report.refined_value == (refined[0] if refine else None)
+        assert (report.worst_path, report.node_count) == (refined or plain)[1:]
+
+    @settings(max_examples=20)
+    @given(k=st.integers(2, 3), m=st.integers(2, 3), n=st.integers(2, 3),
+           seed=st.integers(0, 2 ** 32 - 1), rate_name=st.sampled_from(sorted(RATE_NAMES)))
+    def test_float_loss_games_match_reference(self, k, m, n, seed, rate_name):
+        # sorted leaf sums round differently from the history's order, so
+        # values agree to rounding and best-response ties may break apart
+        gen = np.random.default_rng(seed)
+        game = GameSpec.experts_game(gen.random((m, k)), horizon=n)
+        rate = AdaptiveRate.named(rate_name, k, value=0.5)
+        report = achievability_check(game, rate)
+        refine = rate_name in _REFINES
+        assert report.value == pytest.approx(_reference_tree(game, rate, False)[0], rel=1e-12)
+        if refine:
+            assert report.refined_value == pytest.approx(
+                _reference_tree(game, rate, True)[0], rel=1e-12)
+        assert report.node_count == sum(m ** t for t in range(n + 1))
 
     @pytest.mark.parametrize("rate_name", RATE_NAMES)
     def test_one_lp_per_game_per_internal_node(self, rate_name):
-        game = _binary_game(3)
-        rate = AdaptiveRate.named(rate_name, 2, value=0.5)
+        # an internal node is a count state: 3 experts, 4 outcomes, n=3 walk
+        # 1 + 4 + 10 internal states above C(6, 3) = 20 leaves
+        games = 2 if rate_name in _REFINES else 1
+        three = GameSpec.experts_game(RngSpec(seed=17).generator().integers(0, 3, (4, 3)) / 2.0, 3)
+        rate = AdaptiveRate.named(rate_name, 3, value=0.5)
         with _Counted("linprog") as lp, _Counted("_leaf_value") as leaves:
-            achievability_check(game, rate)
-        internal = sum(4 ** t for t in range(3))
-        assert leaves.calls == 4 ** 3
-        assert lp.calls == internal * (2 if rate_name in _REFINES else 1)
+            report = achievability_check(three, rate)
+        assert (leaves.calls, lp.calls, report.state_count) == (20, 15 * games, 35)
+        # two decisions: the same count of games, each in closed form
+        rate = AdaptiveRate.named(rate_name, 2, value=0.5)
+        with _Counted("linprog") as lp, _Counted("matrix_game_value") as solved, \
+                _Counted("_leaf_value") as leaves:
+            achievability_check(_binary_game(3), rate)
+        assert (leaves.calls, solved.calls, lp.calls) == (20, 15 * games, 0)
+
 
 class TestAdmissibilityCheck:
     def test_two_level_exhaustive_passes(self):

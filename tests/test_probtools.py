@@ -171,6 +171,23 @@ class TestTailValidate:
             assert not p.skipped
             assert p.bound == pytest.approx(2.0 * 10 * math.exp(-17 * theta ** 2 / 4), rel=1e-12)
 
+    def test_offset_process_mc_above_cover_depth_cap(self):
+        # two constant functions +-0.1 at depth 17: the sampled paths' covers
+        # have 2 elements below scale 0.2 and 1 from there on, so the
+        # entropy integral over [1/17, 1/2] is sqrt(17 log 2) (0.2 - 1/17);
+        # each of the ceil(log2 17) = 5 inverse-cover terms counts as 1
+        n, alpha = 17, 1.0
+        table = FunctionTable(np.vstack([np.full(2 ** n - 1, 0.1), np.full(2 ** n - 1, -0.1)]))
+        taus = [1.0, 2.0]
+        report = tail_validate("offset_process", OffsetProcessInstance(table, alpha, 0.5), taus,
+                               mode="mc", replicates=1000, rng=RngSpec(seed=1))
+        sigma = 12.0 * math.sqrt(n * math.log(2)) * (0.2 - 1 / n)
+        assert report.passed
+        for p, tau in zip(report.points, taus):
+            assert not p.skipped
+            assert p.bound == pytest.approx(
+                5 * math.exp(-tau ** 2 / (2 * sigma ** 2)) + math.exp(-alpha * tau / 2), rel=1e-9)
+
     def test_offset_process_singleton(self):
         gen = RngSpec(seed=9).generator()
         table = FunctionTable(gen.uniform(-1, 1, (1, 2 ** 10 - 1)))
