@@ -38,7 +38,7 @@ emit_results(records, "csv", config.csv_path)
 print(f"ran {config.replicates} replicates of {config.environment} "
       f"(K={config.experts}, n={config.horizon})")
 print(f"audited {len(records)} (replicate, rate) pairs on "
-      f"{len(records[0].comparators)} comparators each\n")
+      f"{len(records[0].comparator_ids)} comparators each\n")
 
 print("tightest comparator per record:")
 for rec in records:

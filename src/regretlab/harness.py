@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
@@ -222,11 +223,16 @@ def _build_two_level(config: ExperimentConfig):
 STRATEGIES = {"two-level-ew": _build_two_level}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditRecord:
-    """One replicate's play-out plus its per-comparator audit rows.
+    """One replicate's play-out plus its per-comparator audit columns.
 
-    Row arithmetic is exact bookkeeping: regret + slack = rate + certificate.
+    Comparator ``j`` is ``comparator_ids[j]`` with ``regret[j]``, ``rate[j]``
+    and ``slack[j]``; the arithmetic is exact bookkeeping:
+    regret + slack = rate + certificate. Every column is an immutable tuple,
+    of ``str`` for the ids and of ``float`` otherwise, so the records of one
+    replicate share their ids, regret and per-round columns, and a writer
+    may format each distinct column object once.
     """
 
     environment: str
@@ -235,11 +241,22 @@ class AuditRecord:
     seed: int
     horizon: int
     experts: int
-    per_round_losses: list
+    per_round_losses: tuple
     certificate: float
-    comparators: list = field(default_factory=list)   # dicts: id, regret, rate, slack
+    comparator_ids: tuple = ()
+    regret: tuple = ()
+    rate: tuple = ()
+    slack: tuple = ()
     min_slack: float = math.inf
     argmin_comparator: str = ""
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            kind = str if name == "comparator_ids" else float
+            object.__setattr__(self, name, _column(name, getattr(self, name), kind))
+        lengths = {name: len(getattr(self, name)) for name in _ROW_KEYS.values()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"comparator columns differ in length: {lengths}")
 
     def to_dict(self) -> dict:
         return {
@@ -251,14 +268,50 @@ class AuditRecord:
             "experts": self.experts,
             "per_round_losses": list(self.per_round_losses),
             "certificate": self.certificate,
-            "comparators": [dict(c) for c in self.comparators],
+            "comparators": [
+                {"id": comp_id, "regret": regret, "rate": rate, "slack": slack}
+                for comp_id, regret, rate, slack
+                in zip(self.comparator_ids, self.regret, self.rate, self.slack)
+            ],
             "min_slack": self.min_slack,
             "argmin_comparator": self.argmin_comparator,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "AuditRecord":
-        return AuditRecord(**doc)
+        """The record ``to_dict`` wrote; a comparator row must hold exactly
+        the keys id, rate, regret and slack."""
+        doc = dict(doc)
+        rows = doc.pop("comparators", [])
+        for j, row in enumerate(rows):
+            if not isinstance(row, dict) or row.keys() != _ROW_KEYS.keys():
+                keys = sorted(row) if isinstance(row, dict) else type(row).__name__
+                raise ValueError(f"comparator row {j} holds {keys}; "
+                                 f"expected {sorted(_ROW_KEYS)}")
+        columns = {name: [row[key] for row in rows] for key, name in _ROW_KEYS.items()}
+        return AuditRecord(**doc, **columns)
+
+
+# comparator row key -> AuditRecord column
+_ROW_KEYS = {"id": "comparator_ids", "rate": "rate", "regret": "regret", "slack": "slack"}
+_COLUMNS = ("per_round_losses", *_ROW_KEYS.values())
+
+
+def _column(name: str, values, kind: type) -> tuple:
+    """``values`` as a tuple of exact ``kind`` (``float`` or ``str``); the
+    same object when it already is one."""
+    try:
+        column = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, not {type(values).__name__}") from None
+    if {kind}.issuperset(map(type, column)):
+        return column
+    accepted = numbers.Real if kind is float else str
+    for x in column:
+        if isinstance(x, bool) or not isinstance(x, accepted):
+            what = "number" if kind is float else "string"
+            raise ValueError(f"{name} holds {x!r}, which is not a {what}")
+    return tuple(map(kind, column))
 
 
 def audit_grid(prior: Distribution, resolution: int, budget: int,
@@ -303,9 +356,12 @@ def _audit_one(config, relaxation, rates, losses, rep):
 
     grid = audit_grid(relaxation.prior, config.simplex_resolution, config.grid_budget,
                       relaxation.ladder, cumulative)
-    ids = [comp_id for comp_id, _ in grid]
+    ids = tuple(comp_id for comp_id, _ in grid)
     weights = np.array([w for _, w in grid])
     regret = algo_total - weights @ cumulative
+    # the replicate's records share these column objects
+    per_round = tuple(per_round)
+    regret_column = tuple(regret.tolist())
     records = []
     for rate_name, rate in rates.items():
         rate_values = rate.evaluate_many(weights, losses)
@@ -320,11 +376,10 @@ def _audit_one(config, relaxation, rates, losses, rep):
             experts=k,
             per_round_losses=per_round,
             certificate=certificate,
-            comparators=[
-                {"id": comp_id, "regret": regret_i, "rate": rate_i, "slack": slack_i}
-                for comp_id, regret_i, rate_i, slack_i
-                in zip(ids, regret.tolist(), rate_values.tolist(), slack.tolist())
-            ],
+            comparator_ids=ids,
+            regret=regret_column,
+            rate=tuple(rate_values.tolist()),
+            slack=tuple(slack.tolist()),
             min_slack=float(slack[worst]),
             argmin_comparator=ids[worst],
         ))
@@ -338,83 +393,117 @@ def min_slack(records) -> float:
 def emit_results(records, fmt: str, path: str, rng: RngSpec | None = None) -> None:
     """Serialise audit records byte-stably.
 
-    JSON mirrors the record structure plus RngSpec and version metadata and
-    round-trips exactly through ``read_results``. CSV flattens each record
-    into per-round rows (round, loss) followed by per-comparator rows
-    (comparator_id, regret, rate, slack), in fixed order.
+    JSON is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
+    where ``doc`` holds the schema, the version, the RngSpec and each
+    record's ``to_dict()``; it round-trips exactly through ``read_results``.
+    CSV flattens each record into per-round rows (round, loss) followed by
+    per-comparator rows (comparator_id, regret, rate, slack), in fixed order.
+    Floats are written as ``repr`` writes them, except that JSON spells the
+    non-finite ones NaN, Infinity and -Infinity.
     """
     if fmt == "json":
-        doc = {
-            "schema": RECORDS_SCHEMA,
-            "version": __version__,
-            "rng": rng.to_dict() if rng is not None else None,
-            "records": [r.to_dict() for r in records],
-        }
-        with open(path, "w") as fh:
-            fh.write(_json_text(doc, 0) + "\n")
+        text = _json_document(records, rng)
     elif fmt == "csv":
-        lines = ["record,section,round,loss,comparator_id,regret,rate,slack"]
-        for i, rec in enumerate(records):
-            for t, loss in enumerate(rec.per_round_losses):
-                lines.append(f"{i},round,{t},{loss!r},,,,")
-            for c in rec.comparators:
-                lines.append(
-                    f"{i},comparator,,,{c['id']},{c['regret']!r},{c['rate']!r},{c['slack']!r}"
-                )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        text = _csv_document(records)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def _json_float(x: float) -> str:
-    if x - x == 0.0:                            # finite
-        return float.__repr__(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
+def _column_texts(spell):
+    """``spell(column)`` for each distinct column object, computed on first use.
+
+    Columns are keyed by ``id()``. Each entry holds its column, so no id is
+    reused while the cache lives, and columns are immutable tuples, so their
+    texts cannot go stale."""
+    cache = {}
+
+    def texts(column) -> list:
+        hit = cache.get(id(column))
+        if hit is None:
+            hit = cache[id(column)] = (column, spell(column))
+        return hit[1]
+
+    return texts
 
 
-# json.dumps's text for each scalar type, looked up by exact type
-_SCALAR_WRITERS = {
-    str: encode_basestring_ascii,
-    float: _json_float,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_text(value, depth: int) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested
-    ``depth`` levels deep, byte for byte (ASCII, NaN and infinities allowed).
+def _json_floats(column) -> list:
+    texts = list(map(float.__repr__, column))
+    if not _JSON_NONFINITE.keys().isdisjoint(texts):
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return texts
 
-    The standard library falls back to its pure-Python encoder whenever an
-    indent is set; this writer dispatches on the exact type first and joins
-    each container's items once, which is faster on audit records.
-    """
-    writer = _SCALAR_WRITERS.get(type(value))
-    if writer is not None:
-        return writer(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        texts = [_json_text(v, depth + 1) for v in value]
-        brackets = "[]"
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        texts = [encode_basestring_ascii(k if isinstance(k, str) else _json_text(k, 0))
-                 + ": " + _json_text(v, depth + 1) for k, v in sorted(value.items())]
-        brackets = "{}"
-    else:
-        # subclasses of str, int and float are written as their base type
-        for base, writer in _SCALAR_WRITERS.items():
-            if isinstance(value, base):
-                return writer(value)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + "  " * depth + brackets[1]
+
+# A record and a comparator row as json.dumps(sort_keys=True, indent=2) lays
+# them out inside the document's "records" list.
+_JSON_RECORD = """    {
+      "argmin_comparator": %s,
+      "certificate": %s,
+      "comparators": %s,
+      "environment": %s,
+      "experts": %s,
+      "horizon": %s,
+      "min_slack": %s,
+      "per_round_losses": %s,
+      "rate_name": %s,
+      "replicate": %s,
+      "seed": %s
+    }"""
+_JSON_ROW = """        {
+          "id": %s,
+          "rate": %s,
+          "regret": %s,
+          "slack": %s
+        }"""
+
+
+def _json_document(records, rng) -> str:
+    floats = _column_texts(_json_floats)
+    ids = _column_texts(lambda column: list(map(encode_basestring_ascii, column)))
+    items = []
+    for rec in records:
+        rows = map(_JSON_ROW.__mod__, zip(ids(rec.comparator_ids), floats(rec.rate),
+                                          floats(rec.regret), floats(rec.slack)))
+        losses = floats(rec.per_round_losses)
+        items.append(_JSON_RECORD % (
+            json.dumps(rec.argmin_comparator),
+            json.dumps(rec.certificate),
+            "[\n" + ",\n".join(rows) + "\n      ]" if rec.comparator_ids else "[]",
+            json.dumps(rec.environment),
+            json.dumps(rec.experts),
+            json.dumps(rec.horizon),
+            json.dumps(rec.min_slack),
+            "[\n        " + ",\n        ".join(losses) + "\n      ]" if losses else "[]",
+            json.dumps(rec.rate_name),
+            json.dumps(rec.replicate),
+            json.dumps(rec.seed),
+        ))
+    header = json.dumps({
+        "rng": rng.to_dict() if rng is not None else None,
+        "schema": RECORDS_SCHEMA,
+        "version": __version__,
+    }, sort_keys=True, indent=2)
+    listing = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    # "records" sorts before the header's keys; header[2:] drops its "{\n"
+    return '{\n  "records": ' + listing + ",\n" + header[2:] + "\n"
+
+
+_CSV_HEADER = "record,section,round,loss,comparator_id,regret,rate,slack"
+
+
+def _csv_document(records) -> str:
+    floats = _column_texts(lambda column: list(map(float.__repr__, column)))
+    lines = [_CSV_HEADER]
+    for i, rec in enumerate(records):
+        lines += map(f"{i},round,%d,%s,,,,".__mod__, enumerate(floats(rec.per_round_losses)))
+        lines += map(f"{i},comparator,,,%s,%s,%s,%s".__mod__,
+                     zip(rec.comparator_ids, floats(rec.regret), floats(rec.rate),
+                         floats(rec.slack)))
+    return "\n".join(lines) + "\n"
 
 
 def read_results(path: str) -> list:

@@ -1,8 +1,13 @@
 import json
+import locale
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab import __version__
 from regretlab.bounds import RATE_NAMES
@@ -172,9 +177,9 @@ class TestRunExperiment:
         records = run_experiment(_config())
         assert records
         for rec in records:
-            for row in rec.comparators:
-                assert row["slack"] == row["rate"] + rec.certificate - row["regret"]
-            assert rec.min_slack == min(r["slack"] for r in rec.comparators)
+            for regret, rate, slack in zip(rec.regret, rec.rate, rec.slack):
+                assert slack == rate + rec.certificate - regret
+            assert rec.min_slack == min(rec.slack)
 
     def test_certified_strategy_never_violates(self):
         records = run_experiment(_config(rates=("kl-radius",)))
@@ -184,16 +189,21 @@ class TestRunExperiment:
         cfg = _config(environment="small_loss_leader",
                       environment_params={"leader_rate": 0.0, "other_rate": 0.0})
         for rec in run_experiment(cfg):
-            for row in rec.comparators:
-                assert row["regret"] <= 1e-12
-                assert row["slack"] >= row["rate"] - 1e-12
+            for regret, rate, slack in zip(rec.regret, rec.rate, rec.slack):
+                assert regret <= 1e-12
+                assert slack >= rate - 1e-12
 
     def test_grid_contains_point_masses_and_refinements(self):
         records = run_experiment(_config(replicates=1))
-        ids = [row["id"] for row in records[0].comparators]
+        ids = records[0].comparator_ids
         assert "e0" in ids and "e3" in ids
         assert any(i.startswith("grid") for i in ids)
         assert any(i.startswith("klball") for i in ids)
+
+    def test_replicate_records_share_columns(self):
+        first, second = run_experiment(_config(replicates=1, rates=("kl-radius", "pac-bayes")))
+        for name in ("per_round_losses", "comparator_ids", "regret"):
+            assert getattr(first, name) is getattr(second, name), name
 
     def test_incompatible_rate_errors(self):
         # the predictable rate needs per-round inputs the experts
@@ -239,6 +249,72 @@ class TestRunExperiment:
             assert slack >= 0.0, (eps, slack)
 
 
+# Texts compare as their lists of "\n"-separated lines: the lists are equal
+# exactly when the texts are, and pytest reports a mismatch of two lists
+# quickly, where a diff of two large strings can take minutes.
+
+
+def _reference_json(records, rng=None) -> list:
+    doc = {
+        "schema": RECORDS_SCHEMA,
+        "version": __version__,
+        "rng": rng.to_dict() if rng is not None else None,
+        "records": [r.to_dict() for r in records],
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").split("\n")
+
+
+def _reference_csv(records) -> list:
+    lines = ["record,section,round,loss,comparator_id,regret,rate,slack"]
+    for i, rec in enumerate(records):
+        lines += [f"{i},round,{t},{x!r},,,," for t, x in enumerate(rec.per_round_losses)]
+        lines += [f"{i},comparator,,,{c},{regret!r},{rate!r},{slack!r}"
+                  for c, regret, rate, slack
+                  in zip(rec.comparator_ids, rec.regret, rec.rate, rec.slack)]
+    return ("\n".join(lines) + "\n").split("\n")
+
+
+def _written(path) -> list:
+    """The file's text, decoded as ``open(path, "w")`` encoded it and split
+    at each newline character only."""
+    return path.read_bytes().decode(locale.getpreferredencoding(False)).split("\n")
+
+
+def _emitted(records, fmt, path, rng=None) -> list:
+    emit_results(records, fmt, str(path), rng)
+    return _written(path)
+
+
+def _edge_records():
+    """Two records of one replicate with non-finite values, a negative zero
+    and an id that needs escaping, plus an empty record."""
+    records = run_experiment(_config(replicates=1, horizon=8,
+                                     rates=("kl-radius", "uniform-constant")))
+    first = records[0]
+    ids, regret = list(first.comparator_ids), list(first.regret)
+    rate, slack = list(first.rate), list(first.slack)
+    rate[0] = slack[0] = math.inf
+    rate[1] = slack[1] = math.nan
+    ids[2], regret[2], slack[2] = 'grid "é"\n\\', -0.0, -math.inf
+    empty = AuditRecord(environment="file", rate_name="kl-radius", replicate=0, seed=0,
+                        horizon=0, experts=2, per_round_losses=[], certificate=1e300)
+    return [replace(first, comparator_ids=ids, regret=regret, rate=rate, slack=slack,
+                    min_slack=-math.inf),
+            replace(records[1], min_slack=math.nan), empty]
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e307, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from((x, -x))),
+)
+IDS = st.text(st.characters(min_codepoint=1, max_codepoint=0x2FF), max_size=6)
+
+
 class TestEmitResults:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -250,30 +326,62 @@ class TestEmitResults:
         path = tmp_path / "records.json"
         emit_results(records, "json", str(path), RngSpec(seed=5))
         back = read_results(str(path))
-        assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+        assert back == records
 
     def test_json_bytes_match_json_dumps(self, tmp_path):
-        records = run_experiment(_config(replicates=1, horizon=8,
-                                         rates=("kl-radius", "uniform-constant")))
-        rows = records[0].comparators
-        rows[0].update(rate=math.inf, slack=math.inf)
-        rows[1].update(rate=math.nan, slack=math.nan)
-        rows[2].update(id='grid "\u00e9"\n\\', regret=-0.0, slack=-math.inf)
-        records[0].min_slack = -math.inf
-        records[1].min_slack = math.nan
-        empty = AuditRecord(environment="file", rate_name="kl-radius", replicate=0, seed=0,
-                            horizon=0, experts=2, per_round_losses=[], certificate=1e300)
+        records = _edge_records()
         path = tmp_path / "records.json"
-        for recs, rng in ((records + [empty], RngSpec(seed=5)), (records, None), ([], None)):
-            emit_results(recs, "json", str(path), rng)
-            doc = {
-                "schema": RECORDS_SCHEMA,
-                "version": __version__,
-                "rng": rng.to_dict() if rng is not None else None,
-                "records": [r.to_dict() for r in recs],
-            }
-            expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-            assert path.read_bytes() == expected.encode("ascii")
+        for recs, rng in ((records, RngSpec(seed=5)), (records[:2], None), ([], None)):
+            assert _emitted(recs, "json", path, rng) == _reference_json(recs, rng)
+        # the edits reached the file
+        text = "\n".join(_emitted(records, "json", path))
+        for spelled in ('"rate": Infinity', '"rate": NaN', '"slack": -Infinity',
+                        '"regret": -0.0', '"id": "grid \\"\\u00e9\\"\\n\\\\"',
+                        '"min_slack": -Infinity', '"min_slack": NaN', '"certificate": 1e+300',
+                        '"per_round_losses": []', '"comparators": []'):
+            assert spelled in text, spelled
+
+    def test_csv_bytes_match_fstring_rows(self, tmp_path):
+        records = _edge_records()
+        path = tmp_path / "records.csv"
+        for recs in (records, records[:1], []):
+            assert _emitted(recs, "csv", path) == _reference_csv(recs)
+        text = "\n".join(_emitted(records, "csv", path))
+        assert '0,comparator,,,grid "é"\n\\,-0.0,' in text
+        assert ",inf,inf\n" in text and ",nan,nan\n" in text and ",-inf\n" in text
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_shared_and_copied_columns_write_the_same_bytes(self, data, tmp_path_factory):
+        m = data.draw(st.integers(0, 5), label="comparators")
+        n = data.draw(st.integers(0, 4), label="rounds")
+        n_rates = data.draw(st.integers(1, 3), label="rates")
+        column = st.lists(FLOATS, min_size=m, max_size=m).map(tuple)
+        ids = data.draw(st.lists(IDS, min_size=m, max_size=m).map(tuple))
+        regret = data.draw(column)
+        per_round = data.draw(st.lists(FLOATS, min_size=n, max_size=n).map(tuple))
+        rates = [data.draw(column) for _ in range(n_rates)]
+        # a record's slack may be the very object that is its rate column
+        slacks = [rate if data.draw(st.booleans()) else data.draw(column) for rate in rates]
+        scalars = [data.draw(st.tuples(FLOATS, FLOATS)) for _ in range(n_rates)]
+
+        def records(share):
+            col = (lambda c: c) if share else list
+            return [AuditRecord(environment="file", rate_name=f"rate{j}", replicate=0, seed=j,
+                                horizon=n, experts=3, per_round_losses=col(per_round),
+                                certificate=cert, comparator_ids=col(ids), regret=col(regret),
+                                rate=col(rate), slack=col(slack), min_slack=least,
+                                argmin_comparator=ids[0] if ids else "")
+                    for j, (rate, slack, (cert, least)) in enumerate(zip(rates, slacks, scalars))]
+
+        shared, copied = records(True), records(False)
+        assert shared[-1].regret is shared[0].regret
+        path = tmp_path_factory.getbasetemp() / "property.out"
+        rng = RngSpec(seed=3)
+        json_text = _emitted(shared, "json", path, rng)
+        assert _emitted(copied, "json", path, rng) == json_text == _reference_json(shared, rng)
+        csv_text = _emitted(shared, "csv", path)
+        assert _emitted(copied, "csv", path) == csv_text == _reference_csv(shared)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _config(replicates=2, horizon=32)
@@ -295,6 +403,62 @@ class TestEmitResults:
         assert lines[0] == "record,section,round,loss,comparator_id,regret,rate,slack"
         assert lines[1].startswith("0,round,0,")
         assert lines[1 + 8].startswith("0,comparator,,,e0,")
+
+
+class TestAuditRecord:
+    def _record(self, **columns):
+        base = dict(environment="file", rate_name="kl-radius", replicate=0, seed=0,
+                    horizon=2, experts=2, per_round_losses=[0.5, 0.25], certificate=1.0,
+                    comparator_ids=["e0", "e1"], regret=[0.0, 0.5], rate=[1.0, 1.0],
+                    slack=[2.0, 1.5], min_slack=1.5, argmin_comparator="e1")
+        base.update(columns)
+        return AuditRecord(**base)
+
+    def test_columns_become_tuples_of_float(self, tmp_path):
+        losses = [np.float64(0.5), 1]
+        rec = self._record(per_round_losses=losses, regret=np.array([0.0, 0.5]))
+        assert rec.per_round_losses == (0.5, 1.0) and rec.regret == (0.0, 0.5)
+        for name in ("per_round_losses", "regret", "rate", "slack"):
+            column = getattr(rec, name)
+            assert type(column) is tuple and {type(x) for x in column} == {float}, name
+        assert type(rec.comparator_ids) is tuple
+        path = tmp_path / "rec.json"
+        before = _emitted([rec], "json", path)
+        losses[0] = 9.0
+        assert _emitted([rec], "json", path) == before
+        # a tuple of floats is kept as it is, so records can share it
+        assert self._record(regret=rec.regret).regret is rec.regret
+
+    @pytest.mark.parametrize("name", ["comparator_ids", "regret", "rate", "slack"])
+    def test_unequal_columns_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"comparator columns differ in length: .*'{name}': 3"):
+            self._record(**{name: ["e9", "e8", "e7"] if name == "comparator_ids" else [0.0] * 3})
+
+    @pytest.mark.parametrize("name,bad", [("per_round_losses", "0.5"), ("regret", None),
+                                          ("rate", True), ("slack", [1.0]),
+                                          ("comparator_ids", 3)])
+    def test_non_numeric_values_rejected(self, name, bad):
+        column = list(getattr(self._record(), name))
+        column[0] = bad
+        with pytest.raises(ValueError, match=rf"^{name} holds "):
+            self._record(**{name: column})
+
+    def test_non_sequence_column_rejected(self):
+        with pytest.raises(ValueError, match="regret must be a sequence, not float"):
+            self._record(regret=0.5)
+
+    def test_from_dict_rejects_a_malformed_row(self, tmp_path):
+        doc = self._record().to_dict()
+        assert AuditRecord.from_dict(doc) == self._record()
+        del doc["comparators"][1]["slack"]
+        with pytest.raises(ValueError, match=r"comparator row 1 holds \['id', 'rate', 'regret'\]"):
+            AuditRecord.from_dict(doc)
+        doc["comparators"][1].update(slack=1.5, note="x")
+        with pytest.raises(ValueError, match="comparator row 1 holds"):
+            AuditRecord.from_dict(doc)
+        doc["comparators"][1] = [0.0]
+        with pytest.raises(ValueError, match="comparator row 1 holds list"):
+            AuditRecord.from_dict(doc)
 
 
 class TestLoadGame:
@@ -424,6 +588,36 @@ class TestCli:
                 lab_main(["oracle", "--game", str(game), "--rate", name, "--report", str(report)])
             assert str(from_config.value) == str(from_oracle.value) == (
                 f"unknown rate {name!r}; registry: {RATE_NAMES}")
+
+    @pytest.mark.parametrize("env", ["stochastic_bernoulli", "small_loss_leader",
+                                     "quantile_block", "alternating_adversary"])
+    def test_run_bytes_at_the_benchmark_shape(self, tmp_path, env):
+        doc = {
+            "schema": "regretlab/experiment-v1",
+            "environment": {"name": env},
+            "strategy": {"name": "two-level-ew", "lambda_mode": "fixed_inverse_sqrt_n"},
+            "rates": ["kl-radius", "pac-bayes", "fixed-vs-best"],
+            "horizon": 512,
+            "experts": 8,
+            "replicates": 1,
+            "rng": {"algorithm": "pcg64", "seed": 17},
+            "audit": {"simplex_resolution": 16, "grid_budget": 5000},
+        }
+        config = tmp_path / "config.json"
+        written = {"json": [], "csv": []}
+        for formats in (("json", "csv"), ("json",), ("csv",)):
+            output = {fmt: str(tmp_path / f"{'+'.join(formats)}.{fmt}") for fmt in formats}
+            config.write_text(json.dumps({**doc, "output": output}))
+            assert lab_main(["run", "-c", str(config), "--report", str(tmp_path / "r.json")]) == 0
+            for fmt, path in output.items():
+                written[fmt].append(_written(Path(path)))
+        records = run_experiment(ExperimentConfig.from_json(str(config)))
+        assert len(records[0].comparator_ids) == 8 + 3432 + 12
+        for fmt, want in (("json", _reference_json(records, RngSpec(seed=17))),
+                          ("csv", _reference_csv(records))):
+            assert len(written[fmt]) == 2
+            for lines in written[fmt]:
+                assert lines == want, fmt
 
     def test_admissible_subcommand(self, tmp_path):
         game = tmp_path / "game.json"
