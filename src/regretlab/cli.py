@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .algorithms import LAMBDA_FIXED, LAMBDA_MODES, TwoLevelRelaxation
+from .algorithms import LAMBDA_FIXED, LAMBDA_MODES
 from .bounds import RATE_NAMES, AdaptiveRate
 from .complexity import FunctionTable, OffsetForm, offset_expectation
-from .core import BinaryTree, Distribution, RadiusLadder, RngSpec
+from .core import BinaryTree, RngSpec
 from .harness import (
     ExperimentConfig,
+    build_relaxation,
     emit_results,
     load_game,
     min_slack,
@@ -69,30 +71,12 @@ def _cmd_run(args) -> int:
     worst = min_slack(records)
     tol = config.slack_tol_per_round * config.horizon
     passed = worst >= -tol
+    per_rate = {name: min_slack(r for r in records if r.rate_name == name) for name in config.rates}
     _write_report(args.report, {
         "command": "run", "version": __version__,
-        "records": len(records), "min_slack": worst,
+        "records": len(records), "min_slack": worst, "per_rate_min_slack": per_rate,
         "slack_tolerance": tol, "passed": passed,
         "rng": config.rng.to_dict(),
-    })
-    return 0 if passed else 1
-
-
-def _cmd_audit(args) -> int:
-    config = _override_seed(ExperimentConfig.from_json(args.config), args.seed)
-    records = run_experiment(config)
-    worst = min_slack(records)
-    tol = config.slack_tol_per_round * config.horizon
-    passed = worst >= -tol
-    per_rate = {}
-    for rec in records:
-        cur = per_rate.get(rec.rate_name)
-        if cur is None or rec.min_slack < cur:
-            per_rate[rec.rate_name] = rec.min_slack
-    _write_report(args.report, {
-        "command": "audit", "version": __version__,
-        "min_slack": worst, "per_rate_min_slack": per_rate,
-        "slack_tolerance": tol, "passed": passed,
     })
     return 0 if passed else 1
 
@@ -114,18 +98,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_admissible(args) -> int:
     game = load_game(args.game)
-    if args.strategy != "two-level-ew":
-        raise ValueError("only the two-level-ew strategy is registered")
-    prior = Distribution.uniform(game.n_decisions)
-    ladder = RadiusLadder(args.i_max) if args.i_max else None
-    relaxation = TwoLevelRelaxation(prior, game.horizon, ladder, args.lambda_mode)
+    relaxation = build_relaxation(game.n_decisions, game.horizon, args.lambda_mode, args.i_max)
     rng = RngSpec(seed=args.seed if args.seed is not None else 0)
     report = admissibility_check(
         relaxation, game, mode=args.mode, sample_count=args.samples, rng=rng, tol=args.tol
     )
     _write_report(args.report, {
         "command": "admissible", "version": __version__,
-        "strategy": args.strategy, "mode": report.mode,
+        "strategy": relaxation.name, "mode": report.mode,
         "worst_margin": report.worst_margin,
         "worst_prefix": list(report.worst_prefix),
         "recursive_checked": len(report.recursive_margins),
@@ -214,6 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # argparse names the flag and the type ("invalid finite value: 'x'")
+    def finite(text) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        return value
+
+    def tolerance(text) -> float:
+        value = finite(text)
+        if value < 0.0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="override any configured seed")
         p.add_argument("--report", default="-", help="JSON report path (default stdout)")
@@ -223,29 +216,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_audit = sub.add_parser("audit", help="slack audit across the comparator grid")
-    p_audit.add_argument("-c", "--config", required=True)
-    common(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
-
     p_oracle = sub.add_parser("oracle", help="achievability of a rate on a game file")
     p_oracle.add_argument("--game", required=True)
     p_oracle.add_argument("--rate", required=True, help="one of " + ", ".join(RATE_NAMES))
-    p_oracle.add_argument("--rate-value", type=float, default=0.0,
+    p_oracle.add_argument("--rate-value", type=finite, default=0.0,
                           help="constant for the uniform-constant rate")
-    p_oracle.add_argument("--tol", type=float, default=1e-7)
+    p_oracle.add_argument("--tol", type=tolerance, default=1e-7)
     common(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_adm = sub.add_parser("admissible", help="relaxation admissibility on a game file")
     p_adm.add_argument("--game", required=True)
-    p_adm.add_argument("--strategy", default="two-level-ew")
     p_adm.add_argument("--lambda-mode", dest="lambda_mode", default=LAMBDA_FIXED,
                        choices=list(LAMBDA_MODES))
     p_adm.add_argument("--i-max", dest="i_max", type=int, default=0)
     p_adm.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
     p_adm.add_argument("--samples", type=int, default=1000)
-    p_adm.add_argument("--tol", type=float, default=1e-6)
+    p_adm.add_argument("--tol", type=tolerance, default=1e-6)
     common(p_adm)
     p_adm.set_defaults(func=_cmd_admissible)
 

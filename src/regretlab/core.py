@@ -137,66 +137,50 @@ def kl_divergence_rows(weights: np.ndarray, pi: Distribution) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Finite online game: decisions vs. outcomes under a bounded loss matrix.
+    """Finite experts game: one (decisions x outcomes) loss matrix in [0, 1].
 
-    ``outcomes`` holds one vector per outcome (for experts games these are the
-    per-decision loss columns). ``comparators`` are weight vectors over the
-    decisions; point masses recover single decisions.
+    Outcome y *is* the per-decision loss vector ``loss[:, y]``: a strategy
+    sees that column and is charged it. ``comparators`` are weight vectors
+    over the decisions, or decision indices for point masses.
     """
 
-    decisions: tuple
-    outcomes: np.ndarray            # (n_outcomes, outcome_dim)
     loss: np.ndarray                # (n_decisions, n_outcomes)
     comparators: tuple              # weight vectors over decisions
     horizon: int
-    loss_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        outcomes = np.atleast_2d(np.asarray(self.outcomes, dtype=float))
         loss = np.asarray(self.loss, dtype=float)
-        if loss.shape != (len(self.decisions), outcomes.shape[0]):
-            raise ValueError("loss must be (decisions x outcomes)")
-        lo, hi = self.loss_range
-        if np.any(loss < lo - 1e-12) or np.any(loss > hi + 1e-12):
-            raise ValueError(f"loss entries outside declared range [{lo}, {hi}]")
+        if loss.ndim != 2 or loss.size == 0:
+            raise ValueError("loss must be a non-empty (decisions x outcomes) matrix")
+        if np.any(~((loss >= -1e-12) & (loss <= 1.0 + 1e-12))):   # NaN fails both tests
+            raise ValueError("loss entries outside the range [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        comparators = tuple(_check_comparator(c, len(self.decisions)) for c in self.comparators)
+        comparators = tuple(_check_comparator(c, loss.shape[0]) for c in self.comparators)
         if not comparators:
             raise ValueError("comparator grid is empty")
-        outcomes = outcomes.copy()
-        outcomes.flags.writeable = False
         loss = loss.copy()
         loss.flags.writeable = False
-        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "comparators", comparators)
-        object.__setattr__(self, "decisions", tuple(self.decisions))
 
     @property
     def n_outcomes(self) -> int:
-        return int(self.outcomes.shape[0])
+        return int(self.loss.shape[1])
 
     @property
     def n_decisions(self) -> int:
-        return len(self.decisions)
+        return int(self.loss.shape[0])
 
     @staticmethod
-    def experts_game(outcome_vectors, horizon, comparators=None, loss_range=(0.0, 1.0)):
-        """Linear experts game: loss of expert k on outcome y is y[k]."""
-        outcomes = np.atleast_2d(np.asarray(outcome_vectors, dtype=float))
-        k = outcomes.shape[1]
-        loss = outcomes.T
+    def experts_game(outcome_vectors, horizon, comparators=None):
+        """Linear experts game: loss of expert k on outcome y is y[k], so the
+        outcome vectors are the columns of ``loss``. The comparators default
+        to the point masses."""
+        loss = np.atleast_2d(np.asarray(outcome_vectors, dtype=float)).T
         if comparators is None:
-            comparators = [Distribution.point_mass(i, k).weights for i in range(k)]
-        return GameSpec(
-            decisions=tuple(range(k)),
-            outcomes=outcomes,
-            loss=loss,
-            comparators=tuple(comparators),
-            horizon=horizon,
-            loss_range=loss_range,
-        )
+            comparators = range(loss.shape[0])
+        return GameSpec(loss=loss, comparators=tuple(comparators), horizon=horizon)
 
 
 def _check_comparator(c, n_decisions):

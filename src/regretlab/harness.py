@@ -1,6 +1,6 @@
 """Experiment harness: environments, play-outs, and adaptive-rate audits.
 
-An experiment plays a registered strategy against a generated loss sequence
+An experiment plays the two-level strategy against a generated loss sequence
 using exact mixture losses (no sampling noise in the audit), then checks
 every comparator on an audit grid against every requested rate: the slack
 ``rate + certificate - regret`` must stay nonnegative for a certified
@@ -130,13 +130,13 @@ def _simplex_points(k: int, resolution: int, budget: int) -> tuple:
 class ExperimentConfig:
     environment: str
     environment_params: dict
-    strategy: str
-    strategy_params: dict
     rates: tuple
     horizon: int
     experts: int
     replicates: int
     rng: RngSpec
+    lambda_mode: str = LAMBDA_FIXED
+    i_max: int = 0                  # 0: the default ladder for the game
     simplex_resolution: int = DEFAULT_SIMPLEX_RESOLUTION
     grid_budget: int = DEFAULT_GRID_BUDGET
     slack_tol_per_round: float = SLACK_TOL_PER_ROUND
@@ -152,47 +152,43 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.environment not in ENVIRONMENTS:
             raise ValueError(f"unknown environment {self.environment!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; registry: {tuple(STRATEGIES)}")
+        if self.lambda_mode not in LAMBDA_MODES:
+            raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}")
+        if self.i_max < 0:
+            raise ValueError("i_max must be >= 0")
         for r in self.rates:
             require_horizon(rate_kind(r), self.horizon)  # rate_kind rejects unknown names
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        allowed = {
-            "schema", "environment", "strategy", "rates", "horizon", "experts",
-            "replicates", "rng", "audit", "output",
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        doc = _fields(doc, {"schema", "environment", "strategy", "rates", "horizon", "experts",
+                            "replicates", "rng", "audit", "output"}, "config fields")
         if doc.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"config schema must be {CONFIG_SCHEMA!r}")
         env = dict(doc["environment"])
         env_name = env.pop("name")
-        strat = dict(doc.get("strategy", {"name": "two-level-ew"}))
-        strat_name = strat.pop("name")
-        audit = dict(doc.get("audit", {}))
-        unknown_audit = set(audit) - {"simplex_resolution", "grid_budget", "slack_tol_per_round"}
-        if unknown_audit:
-            raise ValueError(f"unknown audit fields: {sorted(unknown_audit)}")
-        output = dict(doc.get("output", {}))
-        unknown_out = set(output) - {"json", "csv"}
-        if unknown_out:
-            raise ValueError(f"unknown output fields: {sorted(unknown_out)}")
+        strat = _fields(doc.get("strategy", {}), {"name", "lambda_mode", "i_max"}, "strategy params")
+        if strat.get("name", TwoLevelRelaxation.name) != TwoLevelRelaxation.name:
+            raise ValueError(f"strategy.name must be {TwoLevelRelaxation.name!r}, "
+                             f"got {strat['name']!r}")
+        audit = _fields(doc.get("audit", {}),
+                        {"simplex_resolution", "grid_budget", "slack_tol_per_round"}, "audit fields")
+        output = _fields(doc.get("output", {}), {"json", "csv"}, "output fields")
         rng_doc = dict(doc["rng"])
         return ExperimentConfig(
             environment=env_name,
             environment_params=env,
-            strategy=strat_name,
-            strategy_params=strat,
             rates=tuple(doc.get("rates", ("kl-radius",))),
-            horizon=int(doc["horizon"]),
-            experts=int(doc["experts"]),
-            replicates=int(doc.get("replicates", 1)),
-            rng=RngSpec(seed=int(rng_doc["seed"]), algorithm=rng_doc.get("algorithm", "pcg64")),
-            simplex_resolution=int(audit.get("simplex_resolution", DEFAULT_SIMPLEX_RESOLUTION)),
-            grid_budget=int(audit.get("grid_budget", DEFAULT_GRID_BUDGET)),
+            horizon=_integral(doc["horizon"], "horizon"),
+            experts=_integral(doc["experts"], "experts"),
+            replicates=_integral(doc.get("replicates", 1), "replicates"),
+            rng=RngSpec(seed=_integral(rng_doc["seed"], "rng.seed"),
+                        algorithm=rng_doc.get("algorithm", "pcg64")),
+            lambda_mode=strat.get("lambda_mode", LAMBDA_FIXED),
+            i_max=_integral(strat.get("i_max") or 0, "strategy.i_max"),
+            simplex_resolution=_integral(audit.get("simplex_resolution", DEFAULT_SIMPLEX_RESOLUTION),
+                                         "audit.simplex_resolution"),
+            grid_budget=_integral(audit.get("grid_budget", DEFAULT_GRID_BUDGET), "audit.grid_budget"),
             slack_tol_per_round=float(audit.get("slack_tol_per_round", SLACK_TOL_PER_ROUND)),
             json_path=output.get("json"),
             csv_path=output.get("csv"),
@@ -204,23 +200,28 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
-def _build_two_level(config: ExperimentConfig):
-    params = dict(config.strategy_params)
-    mode = params.pop("lambda_mode", LAMBDA_FIXED)
-    if mode not in LAMBDA_MODES:
-        raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}")
-    i_max = params.pop("i_max", None)
-    prior_kind = params.pop("prior", "uniform")
-    if params:
-        raise ValueError(f"unknown strategy params: {sorted(params)}")
-    if prior_kind != "uniform":
-        raise ValueError("only the uniform prior is registered")
-    prior = Distribution.uniform(config.experts)
-    ladder = RadiusLadder(int(i_max)) if i_max else None
-    return TwoLevelRelaxation(prior, config.horizon, ladder, mode)
+def _fields(doc, allowed: set, what: str) -> dict:
+    """A copy of the mapping ``doc``, which may hold only ``allowed`` keys."""
+    doc = dict(doc)
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    return doc
 
 
-STRATEGIES = {"two-level-ew": _build_two_level}
+def _integral(value, field: str) -> int:
+    """``value`` as an int, if it is an integral number (not a bool, a string,
+    2.5 or NaN); else a ValueError naming ``field``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def build_relaxation(experts: int, horizon: int, lambda_mode: str, i_max: int) -> TwoLevelRelaxation:
+    """The two-level strategy under the uniform prior, with ``i_max`` rungs,
+    or the default ladder for the game when ``i_max`` is 0."""
+    ladder = RadiusLadder(i_max) if i_max else None
+    return TwoLevelRelaxation(Distribution.uniform(experts), horizon, ladder, lambda_mode)
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,8 @@ def audit_grid(prior: Distribution, resolution: int, budget: int,
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Play every replicate and audit every requested rate on the grid."""
-    relaxation = STRATEGIES[config.strategy](config)
+    relaxation = build_relaxation(config.experts, config.horizon, config.lambda_mode,
+                                  config.i_max)
     rates = {name: AdaptiveRate.named(name, config.experts) for name in config.rates}
     records = []
     for rep in range(config.replicates):
@@ -515,25 +517,21 @@ def read_results(path: str) -> list:
 
 
 def load_game(path: str) -> GameSpec:
-    """Read the JSON game description used by the oracle subcommands."""
+    """Read the JSON game description used by the oracle subcommands.
+
+    ``outcomes`` lists one per-decision loss vector per outcome; the listed
+    ``comparators``, or else the point masses, are joined by a simplex grid
+    when ``simplex_resolution`` is set."""
     with open(path) as fh:
-        doc = json.load(fh)
-    allowed = {"schema", "outcomes", "horizon", "comparators", "loss_range",
-               "simplex_resolution"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown game fields: {sorted(unknown)}")
+        doc = _fields(json.load(fh), {"schema", "outcomes", "horizon", "comparators",
+                                      "simplex_resolution"}, "game fields")
     if doc.get("schema") != GAME_SCHEMA:
         raise ValueError(f"game schema must be {GAME_SCHEMA!r}")
     outcomes = np.asarray(doc["outcomes"], dtype=float)
-    k = outcomes.shape[1]
     comparators = [np.asarray(c, dtype=float) for c in doc.get("comparators", [])]
-    if not comparators:
-        comparators = [Distribution.point_mass(i, k).weights for i in range(k)]
-    resolution = int(doc.get("simplex_resolution", 0))
+    resolution = _integral(doc.get("simplex_resolution", 0), "simplex_resolution")
     if resolution:
-        comparators.extend(simplex_grid(k, resolution))
-    return GameSpec.experts_game(
-        outcomes, int(doc["horizon"]), comparators,
-        loss_range=tuple(doc.get("loss_range", (0.0, 1.0))),
-    )
+        k = outcomes.shape[1]
+        # expert indices are the point masses to GameSpec
+        comparators = [*(comparators or range(k)), *simplex_grid(k, resolution)]
+    return GameSpec.experts_game(outcomes, _integral(doc["horizon"], "horizon"), comparators or None)

@@ -122,8 +122,8 @@ def _least_penalised(comparators, penalties, cum) -> float:
 def _leaf_value(game: GameSpec, rate, history, ladder) -> tuple:
     """Terminal payoffs at a full history: the plain one, then, given a
     ladder, the refined one that also admits each radius's KL-ball minimiser."""
-    ys = game.outcomes[list(history)]
-    cum = game.loss[:, list(history)].sum(axis=1)
+    columns = game.loss[:, list(history)]
+    ys, cum = columns.T, columns.sum(axis=1)
     best = _least_penalised(game.comparators, [rate.evaluate(f, ys) for f in game.comparators], cum)
     if ladder is None:
         return (-best,)
@@ -264,7 +264,7 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
         here = relaxation.values(states).tolist()
         recursive = []
         for _ in range(n):
-            children = [_child(state, game.outcomes[y]) for state in states for y in range(m)]
+            children = [_child(state, game.loss[:, y]) for state in states for y in range(m)]
             below = relaxation.values(children).tolist()
             recursive += _recursive_margins(relaxation, game, prefixes, states, here, below)
             prefixes = [prefix + (y,) for prefix in prefixes for y in range(m)]
@@ -279,7 +279,7 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
         sequences = [tuple(gen.integers(0, m, size=n)) for _ in range(sample_count)]
         states = [_advance(relaxation, game, prefix) for prefix in prefixes]
         here = relaxation.values(states).tolist()
-        children = [_child(state, game.outcomes[y]) for state in states for y in range(m)]
+        children = [_child(state, game.loss[:, y]) for state in states for y in range(m)]
         below = relaxation.values(children).tolist()
         recursive = _recursive_margins(relaxation, game, prefixes, states, here, below)
         ends = relaxation.values([_advance(relaxation, game, seq) for seq in sequences])
@@ -323,7 +323,7 @@ def _child(state, outcome):
 def _advance(relaxation, game: GameSpec, seq):
     state = relaxation.start()
     for y in seq:
-        state.update(game.outcomes[y])
+        state.update(game.loss[:, y])
     return state
 
 
@@ -355,7 +355,7 @@ def regret_certificate(relaxation, game: GameSpec, outcome_indices) -> Certifica
     losses = []
     for y in seq:
         losses.append(expected_loss(relaxation.strategy(state), y, game))
-        state.update(game.outcomes[y])
+        state.update(game.loss[:, y])
     best = _penalised_minima(relaxation, game, [seq])[0]
     lhs = sum(losses) - best
     return CertificateReport(

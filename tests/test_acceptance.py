@@ -90,8 +90,7 @@ def test_criterion_03_regret_certificate_battery():
         for seed in range(20):
             config = ExperimentConfig(
                 environment=env, environment_params=params,
-                strategy="two-level-ew",
-                strategy_params={"lambda_mode": "fixed_inverse_sqrt_n"},
+                lambda_mode="fixed_inverse_sqrt_n",
                 rates=("kl-radius",), horizon=horizon, experts=experts,
                 replicates=1, rng=RngSpec(seed=3000 + seed),
             )

@@ -214,6 +214,67 @@ class TestGameSpecValidation:
         with pytest.raises(ValueError, match="range"):
             GameSpec.experts_game([[0.0, 2.0]], horizon=1)
 
+    @pytest.mark.parametrize("outcomes", [
+        [[0.0, math.nan], [1.0, 0.0]],
+        [[0.0, 1.0], [1.0, -math.inf]],
+        [[0.0, 1.0 + 1e-9]],
+        [[-1e-9, 1.0]],
+    ])
+    @pytest.mark.parametrize("build", ["experts_game", "GameSpec"])
+    def test_loss_outside_unit_range_rejected(self, outcomes, build):
+        with pytest.raises(ValueError, match=r"^loss entries outside the range \[0, 1\]$"):
+            if build == "experts_game":
+                GameSpec.experts_game(outcomes, 2)
+            else:
+                GameSpec(loss=np.asarray(outcomes).T, comparators=(0,), horizon=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda loss: GameSpec(loss=loss, comparators=(0, 1), horizon=1, outcomes=loss.T),
+        lambda loss: GameSpec(loss=loss, comparators=(0, 1), horizon=1, decisions=(0, 1)),
+        lambda loss: GameSpec(loss=loss, comparators=(0, 1), horizon=1, loss_range=(0.0, 1.0)),
+        lambda loss: GameSpec.experts_game(loss.T, 1, None, (0.0, 1.0)),
+        lambda loss: GameSpec.experts_game(loss.T, 1, loss_range=(0.0, 1.0)),
+    ], ids=["outcomes", "decisions", "loss_range", "experts_game-4th-arg", "experts_game-loss_range"])
+    def test_removed_fields_rejected(self, build):
+        with pytest.raises(TypeError):
+            build(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_one_loss_matrix(self):
+        outcomes = [[0.0, 0.25, 1.0], [0.5, 1.0, 0.0]]       # two outcomes, three decisions
+        game = GameSpec.experts_game(outcomes, 2)
+        np.testing.assert_array_equal(game.loss, np.transpose(outcomes))
+        assert (game.n_decisions, game.n_outcomes) == (3, 2)
+        assert not game.loss.flags.writeable
+        assert not hasattr(game, "outcomes") and not hasattr(game, "decisions")
+        for built in (GameSpec(loss=np.transpose(outcomes), comparators=range(3), horizon=2),
+                      GameSpec.experts_game(outcomes, 2, [0, 1, 2])):
+            np.testing.assert_array_equal(built.loss, game.loss)
+            for a, b in zip(built.comparators, game.comparators, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("build", [
+        lambda cols: GameSpec.experts_game(cols, 3),
+        lambda cols: GameSpec(loss=np.transpose(cols), comparators=(0, 1), horizon=3),
+    ], ids=["experts_game", "GameSpec"])
+    @pytest.mark.parametrize("check,want", [
+        ("admissibility worst margin", 0.9207319912280107),
+        ("pac-bayes value", -99.08797346140275),
+    ], ids=["margin", "pac-bayes"])
+    def test_binary_game_values_pinned(self, build, check, want):
+        # the 2x4 binary game at n=3: the strategy sees and is charged the
+        # same column of the one loss matrix
+        from regretlab.algorithms import TwoLevelRelaxation
+        from regretlab.bounds import AdaptiveRate
+        from regretlab.oracle import achievability_check, admissibility_check
+
+        game = build([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        if check == "pac-bayes value":
+            got = achievability_check(game, AdaptiveRate.named("pac-bayes", 2)).value
+        else:
+            relax = TwoLevelRelaxation(Distribution.uniform(2), 3, lambda_mode="optimized")
+            got = admissibility_check(relax, game, mode="exhaustive").worst_margin
+        assert got == want
+
     def test_empty_comparators(self):
         with pytest.raises(ValueError):
             GameSpec.experts_game([[0.0, 1.0]], horizon=1, comparators=[])

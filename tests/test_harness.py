@@ -31,8 +31,7 @@ def _config(**overrides):
     base = dict(
         environment="small_loss_leader",
         environment_params={},
-        strategy="two-level-ew",
-        strategy_params={"lambda_mode": "fixed_inverse_sqrt_n"},
+        lambda_mode="fixed_inverse_sqrt_n",
         rates=("kl-radius",),
         horizon=64,
         experts=4,
@@ -167,9 +166,133 @@ class TestConfigParsing:
             _config(experts=experts)
 
     def test_unknown_strategy_param_rejected(self):
-        cfg = _config(strategy_params={"lambda_mode": "optimized", "typo": 1})
-        with pytest.raises(ValueError, match="unknown strategy params"):
-            run_experiment(cfg)
+        doc = _config_doc(strategy={"name": "two-level-ew", "lambda_mode": "optimized", "typo": 1})
+        with pytest.raises(ValueError, match=r"^unknown strategy params: \['typo'\]$"):
+            ExperimentConfig.from_dict(doc)
+
+
+def _config_doc(**fields):
+    doc = {
+        "schema": "regretlab/experiment-v1",
+        "environment": {"name": "small_loss_leader"},
+        "strategy": {"name": "two-level-ew", "lambda_mode": "fixed_inverse_sqrt_n"},
+        "rates": ["kl-radius"],
+        "horizon": 16,
+        "experts": 3,
+        "rng": {"algorithm": "pcg64", "seed": 5},
+    }
+    doc.update(fields)
+    return doc
+
+
+def _game_doc(**fields):
+    doc = {"schema": "regretlab/game-v1", "outcomes": [[0, 0], [0, 1], [1, 0], [1, 1]],
+           "horizon": 2}
+    doc.update(fields)
+    return doc
+
+
+class TestFieldChecks:
+    """Each config and game field that was truncated, ignored or accepted
+    with a single value fails with a ValueError that names it."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"horizon": 16.9}, "horizon must be an integer, got 16.9"),
+        ({"experts": 3.5}, "experts must be an integer, got 3.5"),
+        ({"replicates": "2"}, "replicates must be an integer, got '2'"),
+        ({"rng": {"seed": 1.7}}, "rng.seed must be an integer, got 1.7"),
+        ({"rng": {"seed": True}}, "rng.seed must be an integer, got True"),
+        ({"strategy": {"name": "two-level-ew", "i_max": 2.5}},
+         "strategy.i_max must be an integer, got 2.5"),
+        ({"strategy": {"name": "two-level-ew", "i_max": -1}}, "i_max must be >= 0"),
+        ({"audit": {"simplex_resolution": 4.5}},
+         "audit.simplex_resolution must be an integer, got 4.5"),
+        ({"audit": {"grid_budget": math.nan}}, "audit.grid_budget must be an integer, got nan"),
+        ({"strategy": {"name": "two-level-ew", "prior": "uniform"}},
+         "unknown strategy params: ['prior']"),
+        ({"strategy": {"name": "bogus"}}, "strategy.name must be 'two-level-ew', got 'bogus'"),
+        ({"strategy": {"name": "two-level-ew", "lambda_mode": "fast"}}, "lambda_mode must be one of"),
+    ])
+    def test_config_field_rejected(self, tmp_path, fields, message):
+        out = {"json": str(tmp_path / "rec.json"), "csv": str(tmp_path / "rec.csv")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_config_doc(output=out, **fields)))
+        with pytest.raises(ValueError) as err:
+            lab_main(["run", "-c", str(config), "--report", str(tmp_path / "report.json")])
+        assert str(err.value).startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("fields,same_as", [
+        ({"horizon": 16.0, "experts": 3.0, "rng": {"seed": 5.0}}, {}),
+        ({"strategy": {"name": "two-level-ew", "lambda_mode": "fixed_inverse_sqrt_n", "i_max": 0}},
+         {}),
+        ({"strategy": {"lambda_mode": "fixed_inverse_sqrt_n", "i_max": 3.0}},
+         {"strategy": {"name": "two-level-ew", "lambda_mode": "fixed_inverse_sqrt_n", "i_max": 3}}),
+    ])
+    def test_config_field_accepted(self, fields, same_as):
+        got = run_experiment(ExperimentConfig.from_dict(_config_doc(**fields)))
+        assert got == run_experiment(ExperimentConfig.from_dict(_config_doc(**same_as)))
+
+    def test_typed_strategy_fields(self):
+        assert ExperimentConfig.from_dict(_config_doc(strategy={"name": "two-level-ew"})) == _config(
+            lambda_mode="fixed_inverse_sqrt_n", i_max=0, rates=("kl-radius",), horizon=16,
+            experts=3, replicates=1)
+        config = ExperimentConfig.from_dict(_config_doc(
+            strategy={"name": "two-level-ew", "lambda_mode": "optimized", "i_max": 3}))
+        assert (config.lambda_mode, config.i_max) == ("optimized", 3)
+        with pytest.raises(TypeError, match="strategy"):
+            _config(strategy="two-level-ew")
+        with pytest.raises(TypeError, match="strategy_params"):
+            _config(strategy_params={})
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"horizon": 2.7}, "horizon must be an integer, got 2.7"),
+        ({"simplex_resolution": 1.5}, "simplex_resolution must be an integer, got 1.5"),
+        ({"loss_range": [0, 1]}, "unknown game fields: ['loss_range']"),
+        ({"outcomes": [[0, 0], [0, math.nan], [1, 0], [1, 1]]},
+         "loss entries outside the range [0, 1]"),
+        ({"outcomes": [[0, 0], [0, 1.5], [1, 0], [1, 1]]}, "loss entries outside the range [0, 1]"),
+    ])
+    @pytest.mark.parametrize("command", ["oracle", "admissible"])
+    def test_game_field_rejected(self, tmp_path, monkeypatch, fields, message, command):
+        from regretlab import cli, oracle
+
+        def unreachable(*args):
+            raise AssertionError("reached the walk")
+
+        monkeypatch.setattr(oracle, "_leaf_value", unreachable)
+        monkeypatch.setattr(cli, "build_relaxation", unreachable)
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(_game_doc(**fields)))
+        report = tmp_path / "report.json"
+        argv = [command, "--game", str(game), "--report", str(report)]
+        with pytest.raises(ValueError) as err:
+            lab_main(argv + (["--rate", "kl-radius"] if command == "oracle" else []))
+        assert str(err.value) == message
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--rate", "kl-radius", "--tol", "nan"], "--tol"),
+        (["oracle", "--rate", "kl-radius", "--tol", "-0.5"], "--tol"),
+        (["oracle", "--rate", "kl-radius", "--tol", "inf"], "--tol"),
+        (["oracle", "--rate", "uniform-constant", "--rate-value", "nan"], "--rate-value"),
+        (["oracle", "--rate", "uniform-constant", "--rate-value", "-inf"], "--rate-value"),
+        (["oracle", "--rate", "uniform-constant", "--rate-value", "one"], "--rate-value"),
+        (["admissible", "--tol", "nan"], "--tol"),
+        (["admissible", "--tol", "-1"], "--tol"),
+        (["admissible", "--strategy", "two-level-ew"], "--strategy"),
+        (["audit", "-c", "config.json"], "audit"),
+    ])
+    def test_cli_argument_rejected(self, tmp_path, capsys, argv, flag):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(_game_doc()))
+        if argv[0] != "audit":
+            argv = argv + ["--game", str(game)]
+        with pytest.raises(SystemExit) as err:
+            lab_main(argv + ["--report", str(tmp_path / "report.json")])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestRunExperiment:
@@ -501,14 +624,27 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return path
 
-    def test_run_and_audit(self, tmp_path):
-        config = self._write_config(tmp_path)
+    def test_run_reports_per_rate_min_slack(self, tmp_path):
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc.update(rates=["kl-radius", "pac-bayes", "uniform-constant"], replicates=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
         report = tmp_path / "report.json"
         assert lab_main(["run", "-c", str(config), "--report", str(report)]) == 0
-        doc = json.loads(report.read_text())
-        assert doc["passed"] and doc["command"] == "run"
-        assert (tmp_path / "rec.json").exists() and (tmp_path / "rec.csv").exists()
-        assert lab_main(["audit", "-c", str(config), "--report", str(report)]) == 0
+        got = json.loads(report.read_text())
+        assert got["passed"] and got["command"] == "run"
+        records = read_results(str(tmp_path / "rec.json"))
+        assert got["per_rate_min_slack"] == {
+            name: min(r.min_slack for r in records if r.rate_name == name) for name in doc["rates"]}
+        assert got["min_slack"] == min(got["per_rate_min_slack"].values())
+        # without output paths, run writes the report alone
+        del doc["output"]
+        config.write_text(json.dumps(doc))
+        quiet = tmp_path / "quiet"
+        quiet.mkdir()
+        assert lab_main(["run", "-c", str(config), "--report", str(quiet / "report.json")]) == 0
+        assert [p.name for p in quiet.iterdir()] == ["report.json"]
+        assert json.loads((quiet / "report.json").read_text()) == got
 
     def test_seed_override_changes_output(self, tmp_path):
         config = self._write_config(tmp_path)

@@ -31,7 +31,7 @@ def _fresh_state(relax, game, seq):
     """The relaxation's state at a prefix, played afresh from the empty prefix."""
     state = relax.start()
     for y in seq:
-        state.update(game.outcomes[y])
+        state.update(game.loss[:, y])
     return state
 
 
@@ -80,8 +80,8 @@ def _reference_tree(game, rate, refine):
     ladder = RadiusLadder.for_game(game.horizon, rate.prior.support_size) if refine else None
 
     def leaf(history):
-        ys = game.outcomes[list(history)]
-        cum = game.loss[:, list(history)].sum(axis=1)
+        columns = game.loss[:, list(history)]
+        ys, cum = columns.T, columns.sum(axis=1)
         losses = [float(np.dot(f, cum)) + rate.evaluate(f, ys) for f in game.comparators]
         if ladder is not None:
             for radius in ladder.radii:
