@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import FunctionTable, covering_number, dudley_integral
+from .complexity import FunctionTable, chained_penalty, covering_number_report
 from .core import Distribution, kl_divergence, kl_divergence_rows, validate_weights
-
-PREDICTABLE_K1 = 4.0 * math.sqrt(2.0)
-PREDICTABLE_K2 = 24.0 * math.sqrt(2.0)
 
 # The generic-radius constants are never pinned numerically by the analysis;
 # these defaults are order-of-magnitude readings and are configurable.
@@ -51,7 +48,8 @@ class CoveringProfile:
 
     analytic_power_law uses delta**(-p) with 0 < p < 2; the finite modes
     compute internal covers of a concrete class table (exact search or the
-    greedy upper bound), which can only enlarge the rate.
+    greedy upper bound), which can only enlarge the rate. Only the exact
+    mode's entropy integral is piecewise (over ``table.covers``).
     """
 
     mode: str                       # analytic_power_law | finite_class_exact | greedy
@@ -74,10 +72,8 @@ class CoveringProfile:
         if self.mode == "analytic_power_law":
             return delta ** (-self.p)
         if self.mode == "greedy":
-            from .complexity import covering_number_report
-
             return math.log(covering_number_report(self.table, delta, "l2", exact_cap=0).size)
-        return math.log(covering_number(self.table, delta, "l2"))
+        return self.table.covers.log_covering(delta)
 
 
 def spectral_norm_psd(matrix: np.ndarray) -> float:
@@ -120,15 +116,9 @@ def predictable_rate(f_values, centers, profile: CoveringProfile, n: int) -> flo
         raise ValueError("f_values and centers must both have length n")
     if profile.mode == "analytic_power_law" and profile.p >= 2.0:
         raise ValueError("profile exponent must satisfy p < 2")
-    logn = math.log(n)
+    source = profile.table.covers if profile.mode == "finite_class_exact" else profile
     s = float(np.sum((f_values - centers) ** 2))
-    best = math.inf
-    for gamma in _dyadic_gamma_grid(n):
-        ent = profile.log_covering(gamma / 2.0)
-        term1 = PREDICTABLE_K1 * math.sqrt(logn * ent * (s + 1.0))
-        term2 = PREDICTABLE_K2 * logn * dudley_integral(profile, gamma, n)
-        best = min(best, term1 + term2)
-    return best + 2.0 * logn + 7.0
+    return float(chained_penalty(source, s, n, _dyadic_gamma_grid(n))) + 2.0 * math.log(n) + 7.0
 
 
 def fixed_vs_best_rate(f_values, fstar_values, class_size: int) -> float:

@@ -207,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
         return value
 
+    def positive_int(text) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+        return value
+
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="override any configured seed")
         p.add_argument("--report", default="-", help="JSON report path (default stdout)")
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(LAMBDA_MODES))
     p_adm.add_argument("--i-max", dest="i_max", type=int, default=0)
     p_adm.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
-    p_adm.add_argument("--samples", type=int, default=1000)
+    p_adm.add_argument("--samples", type=positive_int, default=1000)
     p_adm.add_argument("--tol", type=tolerance, default=1e-6)
     common(p_adm)
     p_adm.set_defaults(func=_cmd_admissible)

@@ -3,15 +3,17 @@
 Signed-path suprema of a finite function class over a tree: exact
 enumeration up to depth 12, Monte Carlo beyond; offset variants that
 subtract data-dependent penalties; internal sequential covering numbers by
-exact set-cover search (greedy upper bound for large classes); and the
-entropy integral used by the chained penalties.
+exact set-cover search (greedy upper bound for large classes), one
+memoised ``TableCovers`` per table and path set; and the entropy integral
+and chained penalty built on them.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +37,9 @@ class FunctionTable:
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if vals.ndim != 2 or 0 in vals.shape:
+            raise ValueError(f"a table needs at least one function and one node in a "
+                             f"(functions, nodes) matrix, got shape {vals.shape}")
         n_nodes = vals.shape[1]
         depth = int(round(math.log2(n_nodes + 1)))
         if 2 ** depth - 1 != n_nodes:
@@ -44,15 +49,21 @@ class FunctionTable:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_depth", depth)
 
     @property
     def depth(self) -> int:
-        return self._depth
+        return (self.values.shape[1] + 1).bit_length() - 1
 
     @property
     def n_functions(self) -> int:
         return int(self.values.shape[0])
+
+    @cached_property
+    def covers(self) -> "TableCovers":
+        """The internal covers of the class on every path of its tree. They
+        hold the table by a weak proxy, so use them while the table lives: a
+        cycle would keep both in memory until the cycle collector runs."""
+        return TableCovers(weakref.proxy(self))
 
 
 @lru_cache(maxsize=16)
@@ -100,26 +111,6 @@ class CoverReport:
     exact: bool
     scale: float
     metric: str
-
-
-def _pairwise_path_stats(table: FunctionTable, paths=None):
-    """Per-pair, per-path l2 and linf discrepancies: over every path of the
-    table, cached on it, or over the sampled paths ``paths`` alone."""
-    cached = getattr(table, "_pair_stats", None)
-    if paths is None and cached is not None:
-        return cached
-    idx = _paths(table.depth)[1] if paths is None else paths
-    vals = table.values[:, idx]                     # (G, P, n)
-    g = table.n_functions
-    d2 = np.empty((g, g, vals.shape[1]))
-    dinf = np.empty_like(d2)
-    for v in range(g):
-        diff = vals - vals[v]
-        d2[v] = np.einsum("gpt,gpt->gp", diff, diff)
-        dinf[v] = np.abs(diff).max(axis=2)
-    if paths is None:
-        object.__setattr__(table, "_pair_stats", (d2, dinf))
-    return d2, dinf
 
 
 def _cover_masks(stats, n: int, alpha: float, metric: str):
@@ -183,6 +174,62 @@ def _exact_cover_size(masks, full):
 COVER_DEPTH_CAP = 16
 
 
+class TableCovers:
+    """Internal covers of one table on every path of its tree, which
+    ``table.covers`` holds, or on the sampled paths ``paths`` alone (node
+    indices, one row per path). The pairwise discrepancies are built once
+    and sizes are memoised per (scale, metric). ``minimal``: every size is
+    an exact minimum over every path, which needs every path and at most
+    EXACT_COVER_CLASS_CAP functions (larger classes get greedy covers).
+    """
+
+    def __init__(self, table: FunctionTable, paths=None):
+        if paths is None and table.depth > COVER_DEPTH_CAP:
+            raise ValueError(f"covering needs per-path enumeration; depth cap is {COVER_DEPTH_CAP}")
+        self.table = table
+        self.paths = paths
+        self.minimal = paths is None and table.n_functions <= EXACT_COVER_CLASS_CAP
+        self._sizes = {}
+
+    @cached_property
+    def _stats(self):
+        """Per-pair, per-path l2 and linf discrepancies."""
+        idx = _paths(self.table.depth)[1] if self.paths is None else self.paths
+        vals = self.table.values[:, idx]                # (G, P, n)
+        g = self.table.n_functions
+        d2 = np.empty((g, g, vals.shape[1]))
+        dinf = np.empty_like(d2)
+        for v in range(g):
+            diff = vals - vals[v]
+            d2[v] = np.einsum("gpt,gpt->gp", diff, diff)
+            dinf[v] = np.abs(diff).max(axis=2)
+        return d2, dinf
+
+    def search(self, alpha: float, metric: str = "l2",
+               exact_cap: int = EXACT_COVER_CLASS_CAP) -> CoverReport:
+        """Unmemoised search: exact up to ``exact_cap`` functions, greedy beyond."""
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        masks, full = _cover_masks(self._stats, self.table.depth, alpha, metric)
+        if len(masks) <= exact_cap:
+            return CoverReport(_exact_cover_size(masks, full), True, alpha, metric)
+        return CoverReport(len(_greedy_cover(masks, full)), False, alpha, metric)
+
+    def size(self, alpha: float, metric: str = "l2") -> int:
+        """Memoised size; every-path searches go through covering_number_report."""
+        key = (alpha, metric)
+        if key not in self._sizes:
+            if self.paths is None:
+                report = covering_number_report(self.table, alpha, metric)
+            else:
+                report = self.search(alpha, metric)
+            self._sizes[key] = report.size
+        return self._sizes[key]
+
+    def log_covering(self, delta: float) -> float:
+        return math.log(self.size(delta, "l2"))
+
+
 def covering_number_report(table: FunctionTable, alpha: float, metric: str = "l2",
                            exact_cap: int = EXACT_COVER_CLASS_CAP) -> CoverReport:
     """Smallest internal cover of the class on its tree at scale alpha.
@@ -192,85 +239,48 @@ def covering_number_report(table: FunctionTable, alpha: float, metric: str = "l2
     when the chosen per-path discrepancy condition holds, so the candidate
     may differ across paths.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if table.depth > COVER_DEPTH_CAP:
-        raise ValueError(
-            f"covering needs per-path enumeration; depth cap is {COVER_DEPTH_CAP}"
-        )
-    return _cover_report(_pairwise_path_stats(table), table.depth, alpha, metric, exact_cap)
-
-
-def _cover_report(stats, n: int, alpha: float, metric: str, exact_cap: int) -> CoverReport:
-    masks, full = _cover_masks(stats, n, alpha, metric)
-    if len(masks) <= exact_cap:
-        return CoverReport(_exact_cover_size(masks, full), True, alpha, metric)
-    return CoverReport(len(_greedy_cover(masks, full)), False, alpha, metric)
+    return table.covers.search(alpha, metric, exact_cap)
 
 
 def covering_number(table: FunctionTable, alpha: float, metric: str = "l2") -> int:
     return covering_number_report(table, alpha, metric).size
 
 
-def _cover_paths(n: int, idx):
-    """The paths a depth-n functional measures its covers on, given the
-    sign paths ``idx`` it averages over: None (every path of the tree) up to
-    COVER_DEPTH_CAP, the sampled paths beyond it. An exact cover of fewer
-    paths is no larger, so the penalties it prices can only shrink."""
-    return idx if n > COVER_DEPTH_CAP else None
+def path_covers(table: FunctionTable, idx) -> TableCovers:
+    """The covers a functional averaging over the sign paths ``idx``
+    measures: every path up to COVER_DEPTH_CAP, the sampled ones beyond. An
+    exact cover of fewer paths is no larger, so its penalties only shrink."""
+    return table.covers if table.depth <= COVER_DEPTH_CAP else TableCovers(table, idx)
 
 
-def _cover_fn(table: FunctionTable, paths=None):
-    """Memoised delta -> l2 cover size of the table, over every path or over
-    the sampled paths ``paths`` alone."""
-    if paths is None:
-        return cache(lambda delta: covering_number(table, delta, "l2"))
-    stats = _pairwise_path_stats(table, paths)
-    return cache(lambda delta: _cover_report(stats, table.depth, delta, "l2",
-                                             EXACT_COVER_CLASS_CAP).size)
-
-
-def _log_cover_fn(source, paths=None):
-    """delta -> log N_2(delta) for a FunctionTable or analytic profile; a
-    table's covers are measured on ``paths`` when given (see _cover_paths)."""
-    if isinstance(source, FunctionTable):
-        cover = _cover_fn(source, paths)
-        return lambda delta: math.log(cover(delta))
-    if hasattr(source, "log_covering"):
-        return source.log_covering
-    raise TypeError("expected a FunctionTable or an object with log_covering")
-
-
-def dudley_integral(source, gamma: float, n: int, paths=None) -> float:
+def dudley_integral(source, gamma: float, n: int) -> float:
     """Entropy integral of sqrt(n log N_2(delta)) over delta in [1/n, gamma].
 
-    Finite tables give an integer step integrand, which is integrated
-    exactly (piecewise, with bisected breakpoints) so the result is
-    monotone in gamma; analytic profiles use trapezoidal quadrature on a
-    64-point geometric grid. A table's covers are measured on ``paths``
-    when given (see _cover_paths). The multiplying constants are left to the
-    callers; an empty range integrates to 0.
+    A ``TableCovers`` (a FunctionTable stands for its every-path covers)
+    gives an integer step integrand, integrated piecewise by
+    ``_step_integral``; any other source's ``log_covering`` is integrated
+    by trapezoidal quadrature on a 64-point geometric grid. The multiplying
+    constants are left to the callers; an empty range integrates to 0.
     """
     lo = 1.0 / n
     if gamma <= lo:
         return 0.0
-    table = source if isinstance(source, FunctionTable) else None
-    if table is None and getattr(source, "mode", None) == "finite_class_exact":
-        table = source.table
-    if table is not None:
-        return _step_integral(_cover_fn(table, paths), lo, gamma, n)
-    log_cov = _log_cover_fn(source)
+    if isinstance(source, FunctionTable):
+        source = source.covers
+    if isinstance(source, TableCovers):
+        return _step_integral(source.size, lo, gamma, n)
     deltas = np.geomspace(lo, gamma, DUDLEY_GRID_POINTS)
-    heights = np.array([math.sqrt(n * max(log_cov(float(d)), 0.0)) for d in deltas])
+    heights = np.array([math.sqrt(n * max(source.log_covering(float(d)), 0.0)) for d in deltas])
     return float(np.trapezoid(heights, deltas))
 
 
 def _step_integral(cover, lo: float, hi: float, n: int) -> float:
-    """Exact integral of sqrt(n log N_2(delta)) for the integer-valued,
-    nonincreasing cover-size function ``cover`` of one table.
-
-    Greedy covers are not monotone in the scale, so only exact minima take
-    this route; everything else falls back to quadrature.
+    """Integral of sqrt(n log N_2(delta)) over [lo, hi] for the cover sizes
+    ``cover`` of one table, in pieces that take the size at their bisected
+    left end: exact for exact minima, which are nonincreasing, up to gaps of
+    width <= tol. Greedy sizes need not be monotone, but a left-end size is
+    at least the minimum cover anywhere to its right, so the result bounds
+    the exact-cover integral from above, up to the same gaps.
     """
 
     def height(size):
@@ -297,6 +307,22 @@ def _step_integral(cover, lo: float, hi: float, n: int) -> float:
     return total
 
 
+def chained_penalty(source, squares, n: int, scales):
+    """Least chained penalty over the scales gamma in ``scales``,
+    elementwise in the square sums S: 4 sqrt(2 log n log N_2(gamma/2) (S+1))
+    plus 24 sqrt(2) log n times the entropy integral up to gamma. ``source``
+    is a TableCovers or any object with ``log_covering``."""
+    logn = math.log(n)
+    best = None
+    for gamma in scales:
+        ent = source.log_covering(gamma / 2.0)
+        integ = dudley_integral(source, gamma, n)
+        pen = 4.0 * np.sqrt(2.0 * logn * ent * (squares + 1.0)) \
+            + 24.0 * math.sqrt(2.0) * logn * integ
+        best = pen if best is None else np.minimum(best, pen)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Offset suprema: signed sums minus a data-dependent penalty.
 # ---------------------------------------------------------------------------
@@ -314,15 +340,13 @@ class OffsetForm:
       finite_class_penalty  second-moment penalty with a log(class size)
                             multiplier; the expected supremum stays <= 1
       chained_penalty       covering-based penalty with an entropy integral,
-                            maximised over a dyadic scale grid; the expected
+                            least over a dyadic scale grid; the expected
                             supremum stays <= 7 + 2 log n
       custom_penalty        caller-supplied penalty(square_sums) -> array
     """
 
     kind: str
     alpha: float | None = None
-    class_size: int | None = None
-    profile: object | None = None
     penalty: object | None = None
 
     def __post_init__(self):
@@ -332,8 +356,6 @@ class OffsetForm:
             raise ValueError("quadratic offset needs alpha > 0")
         if self.kind == "custom_penalty" and not callable(self.penalty):
             raise ValueError("custom offset needs a callable penalty")
-        if self.class_size is not None and self.class_size < 1:
-            raise ValueError("class_size must be >= 1")
 
 
 def _chained_scale_grid(n: int):
@@ -342,31 +364,20 @@ def _chained_scale_grid(n: int):
     return [2.0 ** j / n for j in range(top + 1)]
 
 
-def _offset_objective(table: FunctionTable, form: OffsetForm, signed, squares, n: int,
-                      paths=None):
+def _offset_objective(table: FunctionTable, form: OffsetForm, signed, squares, idx):
     """(G, P) objective values before the per-path supremum; a chained
-    penalty measures the table's covers on ``paths`` (see _cover_paths)."""
+    penalty measures the covers of the sign paths ``idx`` (see path_covers)."""
     if form.kind == "none":
         return signed
     if form.kind == "quadratic":
         return signed - 2.0 * form.alpha * squares
     if form.kind == "finite_class_penalty":
-        size = form.class_size if form.class_size is not None else table.n_functions
-        scaled = math.log(size) * squares + math.e
+        scaled = math.log(table.n_functions) * squares + math.e
         return signed - 2.0 * np.log(scaled) * np.sqrt(32.0 * scaled)
     if form.kind == "chained_penalty":
-        source = form.profile if form.profile is not None else table
-        log_cov = _log_cover_fn(source, paths)
-        logn = math.log(n)
-        best = None
-        for gamma in _chained_scale_grid(n):
-            ent = log_cov(gamma / 2.0)
-            integ = dudley_integral(source, gamma, n, paths)
-            pen = 4.0 * np.sqrt(2.0 * logn * ent * (squares + 1.0)) \
-                + 24.0 * math.sqrt(2.0) * logn * integ
-            obj = signed - pen
-            best = obj if best is None else np.maximum(best, obj)
-        return best
+        # rounding is monotone, so fl(s - min p) = max fl(s - p) over scales
+        return signed - chained_penalty(path_covers(table, idx), squares, table.depth,
+                                        _chained_scale_grid(table.depth))
     if form.kind == "custom_penalty":
         return signed - form.penalty(squares)
     raise AssertionError(form.kind)
@@ -390,7 +401,7 @@ def offset_expectation(
     n = table.depth
     signs, idx = _sign_paths(n, mode, rng, replicates)
     signed, squares = _signed_and_square_sums(table, signs, idx)
-    sups = _offset_objective(table, form, signed, squares, n, _cover_paths(n, idx)).max(axis=0)
+    sups = _offset_objective(table, form, signed, squares, idx).max(axis=0)
     estimate = float(sups.mean())
     if mode == "exact":
         return estimate

@@ -175,10 +175,13 @@ class ExperimentConfig:
                         {"simplex_resolution", "grid_budget", "slack_tol_per_round"}, "audit fields")
         output = _fields(doc.get("output", {}), {"json", "csv"}, "output fields")
         rng_doc = dict(doc["rng"])
+        rates = doc.get("rates", ["kl-radius"])
+        if not isinstance(rates, list):
+            raise ValueError(f"rates must be a JSON list of rate names, got {rates!r}")
         return ExperimentConfig(
             environment=env_name,
             environment_params=env,
-            rates=tuple(doc.get("rates", ("kl-radius",))),
+            rates=tuple(rates),
             horizon=_integral(doc["horizon"], "horizon"),
             experts=_integral(doc["experts"], "experts"),
             replicates=_integral(doc.get("replicates", 1), "replicates"),

@@ -271,6 +271,8 @@ def admissibility_check(relaxation, game: GameSpec, mode: str = "exhaustive",
             states, here = children, below
         terminals = list(zip(prefixes, here))
     elif mode == "sampled":
+        if sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         if rng is None:
             raise ValueError("sampled mode needs an RngSpec")
         gen = rng.generator()

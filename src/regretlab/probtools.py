@@ -17,16 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import (
-    COVER_DEPTH_CAP,
-    EXACT_COVER_CLASS_CAP,
     EXACT_DEPTH_CAP,
     FunctionTable,
     OffsetForm,
-    covering_number,
+    TableCovers,
     dudley_integral,
     offset_expectation,
-    _cover_paths,
-    _log_cover_fn,
+    path_covers,
     _sign_paths,
     _signed_and_square_sums,
 )
@@ -220,27 +217,26 @@ def _deviation_samples_pinelis(inst: PinelisInstance, signs, idx):
     return np.linalg.norm(sums, axis=1)
 
 
-def _inverse_cover_term(table: FunctionTable, scale: float, metric: str, power: int) -> float:
+def _inverse_cover_term(covers: TableCovers, scale: float, metric: str, power: int) -> float:
     """One 1/N**power term of an inverse-cover series.
 
-    Only exact minimum covers may shrink a term; above the exact-search
-    class cap, and above the depth where covers need too many paths, the
+    Only exact minimum covers of every path may shrink a term; any other
     term is charged as 1 (N >= 1), since underestimating the series would
     invalidate the envelope.
     """
-    if table.n_functions > EXACT_COVER_CLASS_CAP or table.depth > COVER_DEPTH_CAP:
+    if not covers.minimal:
         return 1.0
-    return 1.0 / covering_number(table, scale, metric) ** power
+    return 1.0 / covers.size(scale, metric) ** power
 
 
-def _chaining_gamma_constant(table: FunctionTable, n: int) -> float:
+def _chaining_gamma_constant(covers: TableCovers, n: int) -> float:
     """Upper anchor for the inverse-cover series sum_j N_inf(2^-j)^{-1}.
 
     Truncated at ceil(log2 n) + 4 terms with the geometric tail charged as
     one extra copy of the last term.
     """
     j_max = math.ceil(math.log2(n)) + 4
-    terms = [_inverse_cover_term(table, 2.0 ** (-j), "linf", 1) for j in range(1, j_max + 1)]
+    terms = [_inverse_cover_term(covers, 2.0 ** (-j), "linf", 1) for j in range(1, j_max + 1)]
     return float(sum(terms) + terms[-1])
 
 
@@ -285,7 +281,7 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
         else:   # no exact anchor above the cap: 20 000 sampled paths stand in
             rad, _ = offset_expectation(table, OffsetForm("none"), mode="mc", rng=rng,
                                         replicates=20000)
-        gamma_const = _chaining_gamma_constant(table, n)
+        gamma_const = _chaining_gamma_constant(path_covers(table, idx), n)
         log_cubed = math.log(math.e * n * n) ** 3
         theta_floor = math.sqrt(12.0 / n)
         for theta in thresholds:
@@ -303,15 +299,14 @@ def tail_validate(kind: str, instance, thresholds, mode: str = "exact",
         # above the cover depth cap the penalty and the scale come from
         # covers of the sampled paths; exact ones are no larger than covers
         # of every path, so they can only make the check stricter
-        paths = _cover_paths(n, idx)
-        log_cov = _log_cover_fn(table, paths)
-        integ = dudley_integral(table, gamma, n, paths)
-        penalty = log_cov(gamma) / alpha + 12.0 * math.sqrt(2.0) * integ + 1.0
+        covers = path_covers(table, idx)
+        integ = dudley_integral(covers, gamma, n)
+        penalty = covers.log_covering(gamma) / alpha + 12.0 * math.sqrt(2.0) * integ + 1.0
         objective = (signed - 2.0 * alpha * squares).max(axis=0) - penalty
         sigma = 12.0 * integ
         j_max = math.ceil(math.log2(2.0 * n * gamma))
         gamma_const = sum(
-            _inverse_cover_term(table, gamma * 2.0 ** (-j), "l2", 2)
+            _inverse_cover_term(covers, gamma * 2.0 ** (-j), "l2", 2)
             for j in range(1, j_max + 1)
         )
         for tau in thresholds:

@@ -9,8 +9,6 @@ from regretlab.bounds import (
     RATE_KINDS,
     AdaptiveRate,
     CoveringProfile,
-    PREDICTABLE_K1,
-    PREDICTABLE_K2,
     fixed_vs_best_rate,
     generic_radius_rate,
     kl_radius_rate,
@@ -98,9 +96,9 @@ class TestPredictableRate:
         logn = math.log(n)
 
         def bracket(gamma):
-            t1 = PREDICTABLE_K1 * math.sqrt(logn * (gamma / 2) ** -1.0 * (s + 1))
+            t1 = 4 * math.sqrt(2) * math.sqrt(logn * (gamma / 2) ** -1.0 * (s + 1))
             integ = 2 * math.sqrt(n * gamma) - 2 if gamma > 1 / n else 0.0
-            return t1 + PREDICTABLE_K2 * logn * integ
+            return t1 + 24 * math.sqrt(2) * logn * integ
 
         grid = [2.0 ** j / n for j in range(math.ceil(math.log2(2 * n)) + 1)]
         expected = min(bracket(g) for g in grid) + 2 * logn + 7

@@ -7,10 +7,12 @@ import pytest
 from regretlab.complexity import (
     FunctionTable,
     OffsetForm,
+    TableCovers,
     covering_number,
     covering_number_report,
     dudley_integral,
     offset_expectation,
+    _step_integral,
 )
 from regretlab.core import BinaryTree, RngSpec, path_node_indices, path_signs, tree_get
 
@@ -28,6 +30,12 @@ class TestFunctionTable:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             FunctionTable(np.full((1, 3), 1.5))
+
+    @pytest.mark.parametrize("values", [np.zeros((0, 15)), np.zeros((4, 0)), [],
+                                        np.zeros((2, 3, 3))])
+    def test_empty_class_or_tree(self, values):
+        with pytest.raises(ValueError, match="at least one function and one node"):
+            FunctionTable(values)
 
 
 NONE = OffsetForm("none")
@@ -141,6 +149,16 @@ class TestCoveringNumber:
         for alpha in (0.2, 0.5, 0.9):
             assert covering_number(table, alpha, "linf") >= covering_number(table, alpha, "l2")
 
+    def test_covers_memoise_each_metric_and_path_set(self):
+        table = _random_table(13, 8, 6)
+        every_path = TableCovers(table, path_node_indices(6, path_signs(6)))
+        assert not every_path.minimal and table.covers.minimal
+        for alpha in (0.5, 0.9, 0.9):
+            for metric in ("l2", "linf"):
+                want = covering_number(table, alpha, metric)
+                assert table.covers.size(alpha, metric) == want
+                assert every_path.size(alpha, metric) == want
+
     def test_nonincreasing_in_alpha(self):
         table = _random_table(14, 7, 6)
         sizes = [covering_number(table, a, "l2") for a in np.linspace(0.05, 2.2, 25)]
@@ -196,6 +214,14 @@ class TestDudleyIntegral:
         table = _random_table(18, 3, 5)
         assert dudley_integral(table, 1 / 5, 5) == 0.0
         assert dudley_integral(table, 0.01, 5) == 0.0
+
+    def test_greedy_steps_bound_the_exact_cover_integral(self):
+        # 14 functions is above the exact-search cap, so the table's steps
+        # are greedy sizes, which need not be monotone in the scale
+        table = _random_table(0, 14, 3)
+        exact = _step_integral(
+            lambda d: covering_number_report(table, d, "l2", exact_cap=14).size, 1 / 3, 1.0, 3)
+        assert dudley_integral(table, 1.0, 3) >= exact
 
 
 class TestOffsetExpectation:
@@ -280,6 +306,15 @@ class TestOffsetExpectation:
                              + 24 * math.sqrt(2) * logn * integ)
         assert est == pytest.approx(plain - min(penalties), rel=1e-9)
         assert se == pytest.approx(plain_se, rel=1e-9)
+
+    def test_chained_values_unchanged(self):
+        # the exact 6 x depth-8 and the depth-17 mc chained offsets, pinned
+        # with ==: the covers, their memo and the penalty must not move them
+        exact = offset_expectation(_random_table(40, 6, 8), OffsetForm("chained_penalty"))
+        assert exact == -18.311327009986897
+        mc = offset_expectation(_random_table(43, 4, 17), OffsetForm("chained_penalty"),
+                                mode="mc", rng=RngSpec(seed=1), replicates=1000)
+        assert mc == (-25.77535430985185, 0.07451998939428027)
 
     def test_mc_requires_rng(self):
         table = _random_table(26, 2, 4)

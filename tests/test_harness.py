@@ -212,6 +212,7 @@ class TestFieldChecks:
          "unknown strategy params: ['prior']"),
         ({"strategy": {"name": "bogus"}}, "strategy.name must be 'two-level-ew', got 'bogus'"),
         ({"strategy": {"name": "two-level-ew", "lambda_mode": "fast"}}, "lambda_mode must be one of"),
+        ({"rates": "kl-radius"}, "rates must be a JSON list of rate names, got 'kl-radius'"),
     ])
     def test_config_field_rejected(self, tmp_path, fields, message):
         out = {"json": str(tmp_path / "rec.json"), "csv": str(tmp_path / "rec.csv")}
@@ -281,6 +282,7 @@ class TestFieldChecks:
         (["admissible", "--tol", "nan"], "--tol"),
         (["admissible", "--tol", "-1"], "--tol"),
         (["admissible", "--strategy", "two-level-ew"], "--strategy"),
+        (["admissible", "--mode", "sampled", "--samples", "0"], "--samples"),
         (["audit", "-c", "config.json"], "audit"),
     ])
     def test_cli_argument_rejected(self, tmp_path, capsys, argv, flag):
@@ -293,6 +295,21 @@ class TestFieldChecks:
         assert err.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+    @pytest.mark.parametrize("sample_count", [0, -3])
+    def test_sample_count_rejected(self, sample_count):
+        from regretlab.core import GameSpec
+        from regretlab.oracle import admissibility_check
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"reached relaxation.{name}")
+
+        game = GameSpec.experts_game(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 2)
+        with pytest.raises(ValueError, match=f"^sample_count must be >= 1, got {sample_count}$"):
+            admissibility_check(Unreachable(), game, mode="sampled", sample_count=sample_count,
+                                rng=RngSpec(seed=0))
 
 
 class TestRunExperiment:

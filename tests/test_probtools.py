@@ -206,6 +206,21 @@ class TestTailValidate:
             )
             assert report.passed
 
+    def test_exact_tail_bounds_unchanged(self):
+        # envelopes of the exact chaining and offset-process checks on
+        # 4 x depth-12 tables, pinned with ==: the covers and the entropy
+        # integral must not move them
+        def table(seed):
+            return FunctionTable(RngSpec(seed=seed).generator().uniform(-1, 1, (4, 2 ** 12 - 1)))
+
+        chaining = tail_validate("chaining", ChainingInstance(table(41)), [1.2, 2.0, 3.0])
+        assert [p.bound for p in chaining.points] == [
+            0.05984947594099701, 2.7648955589976943e-05, 8.457879674425874e-12]
+        offset = tail_validate("offset_process", OffsetProcessInstance(table(42), 1.0, 0.5),
+                               [0.5, 1.0, 2.0, 4.0])
+        assert [p.bound for p in offset.points] == [
+            1.0287256539957101, 0.856230278847789, 0.6166800814659312, 0.3805722572608065]
+
     def test_kind_registry(self):
         with pytest.raises(ValueError, match="known"):
             tail_validate("bogus", None, [1.0])
