@@ -282,8 +282,8 @@ class TestFieldChecks:
         (["admissible", "--tol", "nan"], "--tol"),
         (["admissible", "--tol", "-1"], "--tol"),
         (["admissible", "--strategy", "two-level-ew"], "--strategy"),
-        (["admissible", "--mode", "sampled", "--samples", "0"], "--samples"),
         (["audit", "-c", "config.json"], "audit"),
+        (["admissible", "--mode", "sampled", "--samples", "0"], "--samples"),
     ])
     def test_cli_argument_rejected(self, tmp_path, capsys, argv, flag):
         game = tmp_path / "game.json"
